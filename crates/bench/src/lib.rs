@@ -290,13 +290,17 @@ mod tests {
     #[test]
     fn result_rows_serialise() {
         let row = ResultRow {
-            series: "rFaaS hot".into(),
+            series: "rFaaS \"hot\"\nwarm".into(),
             x: 1024.0,
             median: 3.96,
-            p99: 4.2,
-            unit: "us".into(),
+            p99: f64::NAN,
+            unit: "us\t\u{1}".into(),
         };
-        let json = serde_json::to_string(&row).unwrap();
-        assert!(json.contains("rFaaS hot"));
+        // Finite floats print through `{}` (so an integral `x` has no
+        // fraction), non-finite ones as `null`, strings JSON-escaped.
+        assert_eq!(
+            serde_json::to_string(&row).unwrap(),
+            r#"{"series":"rFaaS \"hot\"\nwarm","x":1024,"median":3.96,"p99":null,"unit":"us\t\u0001"}"#
+        );
     }
 }

@@ -696,3 +696,55 @@ fn adaptive_scenario_seeds_change_the_timeline() {
     let b = run_adaptive_scenario(14);
     assert_ne!(a, b, "the seed must drive payloads and idle gaps");
 }
+
+/// 64-bit FNV-1a over a transcript: a compact fingerprint to pin across
+/// commits.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn transcripts_match_their_pinned_digests() {
+    // The byte-identical tests above compare two runs of one build; these
+    // digests pin the transcripts themselves, so a refactor that changes
+    // any placement, latency or billing figure fails here.
+    let scenarios: [(&str, fn(u64) -> String, u64); 7] = [
+        ("run_scenario", run_scenario, 0x5e13_08ee_9173_162b),
+        (
+            "run_sharded_scenario",
+            run_sharded_scenario,
+            0xb516_c8fa_6349_4051,
+        ),
+        (
+            "run_reactor_scenario",
+            run_reactor_scenario,
+            0xb656_ed8f_c58f_5967,
+        ),
+        (
+            "run_pooled_churn_scenario",
+            run_pooled_churn_scenario,
+            0xc20c_7d56_db42_d4cb,
+        ),
+        (
+            "run_fork_scenario",
+            run_fork_scenario,
+            0x54e9_99ce_93e6_c560,
+        ),
+        (
+            "run_state_scenario",
+            run_state_scenario,
+            0x4cf9_e775_fee9_69b0,
+        ),
+        (
+            "run_adaptive_scenario",
+            run_adaptive_scenario,
+            0xd049_9acf_d925_00df,
+        ),
+    ];
+    for (name, run, pinned) in scenarios {
+        let digest = fnv1a64(run(42).as_bytes());
+        assert_eq!(digest, pinned, "{name} transcript drifted: {digest:016x}");
+    }
+}
