@@ -23,24 +23,23 @@ fn inline_threshold(c: &mut Criterion) {
 
     let testbed = Testbed::new(1);
     // The inline threshold is a zero-copy measurement: drive pre-registered
-    // buffers through the raw escape hatch, not the typed codec surface.
+    // buffers through `Session::invoke_raw`, not the typed codec surface.
     let session =
         testbed.allocated_session("inline-client", 1, SandboxType::BareMetal, PollingMode::Hot);
-    let invoker = session.raw();
-    let alloc = invoker.allocator();
+    let alloc = session.allocator();
     let mut group = c.benchmark_group("inline_threshold");
     group.sample_size(15);
     for payload in [64usize, 96, 128, 160, 256] {
         let input = alloc.input(payload);
         let output = alloc.output(payload);
         input.write_payload(&vec![1u8; payload]).unwrap();
-        invoker
-            .invoke_sync("echo", &input, payload, &output)
+        session
+            .invoke_raw("echo", &input, payload, &output)
             .unwrap();
         let virtual_us: Vec<f64> = (0..40)
             .map(|_| {
-                invoker
-                    .invoke_sync("echo", &input, payload, &output)
+                session
+                    .invoke_raw("echo", &input, payload, &output)
                     .unwrap()
                     .1
                     .as_micros_f64()
@@ -51,7 +50,7 @@ fn inline_threshold(c: &mut Criterion) {
             median(&virtual_us)
         );
         group.bench_with_input(BenchmarkId::from_parameter(payload), &payload, |b, &p| {
-            b.iter(|| invoker.invoke_sync("echo", &input, p, &output).unwrap())
+            b.iter(|| session.invoke_raw("echo", &input, p, &output).unwrap())
         });
     }
     group.finish();

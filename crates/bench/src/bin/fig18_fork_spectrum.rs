@@ -85,8 +85,7 @@ fn run_rep(rep: usize) -> Rep {
         "pages fault lazily, not at fork"
     );
 
-    let invoker = forked_session.raw();
-    let alloc = invoker.allocator();
+    let alloc = forked_session.allocator();
     let input = alloc.input(64);
     let output = alloc.output(64);
     input
@@ -94,8 +93,8 @@ fn run_rep(rep: usize) -> Rep {
         .expect("payload fits");
     let fork_rtts: Vec<SimDuration> = (0..SPECTRUM_INVOCATIONS)
         .map(|_| {
-            invoker
-                .invoke_sync("echo", &input, 8, &output)
+            forked_session
+                .invoke_raw("echo", &input, 8, &output)
                 .expect("invoke on forked child")
                 .1
         })

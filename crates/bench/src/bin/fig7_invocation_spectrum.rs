@@ -29,14 +29,13 @@ fn payload_sizes(quick: bool) -> Vec<usize> {
 
 /// Median + p99 RTT of repeated invocations on an already-leased worker.
 ///
-/// Measured through `Session::raw()`: the spectrum is *the* zero-copy
+/// Measured through `Session::invoke_raw`: the spectrum is *the* zero-copy
 /// latency gate, so it drives pre-registered buffers and explicit payload
 /// lengths rather than the typed codec surface.
 fn leased_series(mode: PollingMode, sizes: &[usize], repetitions: usize) -> Vec<(usize, f64, f64)> {
     let testbed = Testbed::new(1);
     let session = testbed.allocated_session("fig7-client", 1, SandboxType::BareMetal, mode);
-    let invoker = session.raw();
-    let alloc = invoker.allocator();
+    let alloc = session.allocator();
     sizes
         .iter()
         .map(|&size| {
@@ -45,13 +44,13 @@ fn leased_series(mode: PollingMode, sizes: &[usize], repetitions: usize) -> Vec<
             input
                 .write_payload(&workloads::generate_payload(size, 7))
                 .expect("payload fits");
-            invoker
-                .invoke_sync("echo", &input, size, &output)
+            session
+                .invoke_raw("echo", &input, size, &output)
                 .expect("warm-up");
             let samples: Vec<_> = (0..repetitions)
                 .map(|_| {
-                    invoker
-                        .invoke_sync("echo", &input, size, &output)
+                    session
+                        .invoke_raw("echo", &input, size, &output)
                         .expect("invoke")
                         .1
                 })
@@ -80,16 +79,15 @@ fn cold_series(sizes: &[usize], repetitions: usize) -> Vec<(usize, f64, f64)> {
                         SandboxType::BareMetal,
                         PollingMode::Hot,
                     );
-                    let invoker = session.raw();
                     let cold_start = session.cold_start().expect("fresh allocation").total();
-                    let alloc = invoker.allocator();
+                    let alloc = session.allocator();
                     let input = alloc.input(size.max(8));
                     let output = alloc.output(size.max(8));
                     input
                         .write_payload(&workloads::generate_payload(size, 7))
                         .expect("payload fits");
-                    let (_, rtt) = invoker
-                        .invoke_sync("echo", &input, size, &output)
+                    let (_, rtt) = session
+                        .invoke_raw("echo", &input, size, &output)
                         .expect("invoke");
                     session.close().expect("deallocate");
                     cold_start + rtt
@@ -154,22 +152,21 @@ fn main() {
     let testbed = Testbed::with_config(1, config.clone());
     let session =
         testbed.allocated_session("fig7-demotion", 1, SandboxType::BareMetal, PollingMode::Hot);
-    let invoker = session.raw();
-    let alloc = invoker.allocator();
+    let alloc = session.allocator();
     let input = alloc.input(64);
     let output = alloc.output(64);
     input
         .write_payload(&workloads::generate_payload(8, 7))
         .expect("payload fits");
-    invoker
-        .invoke_sync("echo", &input, 8, &output)
+    session
+        .invoke_raw("echo", &input, 8, &output)
         .expect("warm-up");
-    let (_, hot_rtt) = invoker
-        .invoke_sync("echo", &input, 8, &output)
+    let (_, hot_rtt) = session
+        .invoke_raw("echo", &input, 8, &output)
         .expect("hot invoke");
-    invoker.clock().advance(config.hot_poll_timeout * 2);
-    let (_, demoted_rtt) = invoker
-        .invoke_sync("echo", &input, 8, &output)
+    session.clock().advance(config.hot_poll_timeout * 2);
+    let (_, demoted_rtt) = session
+        .invoke_raw("echo", &input, 8, &output)
         .expect("demoted invoke");
     let stats = testbed.executors[0]
         .allocator()

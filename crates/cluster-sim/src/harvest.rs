@@ -6,13 +6,11 @@
 //! manager: it offers idle cores/memory as harvestable bundles and supports
 //! reclamation, which the manager translates into lease terminations.
 
-use serde::{Deserialize, Serialize};
-
 use crate::jobs::BatchScheduler;
 use crate::node::NodeResources;
 
 /// An offer of harvestable resources on one node.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HarvestedResources {
     /// Node the resources live on.
     pub node_name: String,
@@ -21,7 +19,7 @@ pub struct HarvestedResources {
 }
 
 /// Policy knobs for harvesting.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct HarvestPolicy {
     /// Cores kept in reserve on every node for incoming batch jobs.
     pub reserved_cores: u32,

@@ -1,9 +1,7 @@
 //! Cluster nodes and their resource accounting.
 
-use serde::{Deserialize, Serialize};
-
 /// Compute resources of one node (or of a reservation on one node).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeResources {
     /// Physical CPU cores.
     pub cores: u32,
@@ -50,7 +48,7 @@ impl NodeResources {
 }
 
 /// One node of the simulated cluster.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClusterNode {
     /// Node hostname.
     pub name: String,

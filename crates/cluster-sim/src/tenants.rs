@@ -13,14 +13,13 @@
 //! per-tenant forked RNG streams, and the merged request timeline is sorted
 //! by `(arrival, tenant index)` so two runs produce byte-identical schedules.
 
-use serde::{Deserialize, Serialize};
 use sim_core::{DeterministicRng, SimDuration, SimTime};
 
 /// The workload a tenant invokes, mirroring the evaluation functions of
 /// `crates/workloads`. The enum lives here (layer 1) so the generator does
 /// not depend on the function implementations (layer 2); consumers map kinds
 /// to deployed functions via [`WorkloadKind::function_name`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WorkloadKind {
     /// No-op echo: pure platform overhead, the hot-path latency probe.
     Echo,
@@ -112,7 +111,7 @@ impl WorkloadKind {
 
 /// One tenant's standing behaviour: which workload it runs, how it shapes
 /// its leases, and how often its episodes arrive.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TenantProfile {
     /// Stable tenant identifier ("tenant-00042"); consistent hashing of this
     /// string pins the tenant to a manager shard.
@@ -134,7 +133,7 @@ pub struct TenantProfile {
 
 /// One allocation episode: the tenant allocates, invokes
 /// `invocations` times, and releases (or lets the lease expire).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TenantRequest {
     /// Index of the tenant in the fleet's profile list.
     pub tenant_index: usize,

@@ -5,14 +5,13 @@
 //! drives the synthetic batch scheduler over the same horizon and produces
 //! the equivalent time series.
 
-use serde::{Deserialize, Serialize};
 use sim_core::{SimDuration, SimTime};
 
 use crate::jobs::{BatchScheduler, JobGenerator};
 use crate::node::NodeResources;
 
 /// One sample of the cluster utilisation time series.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TracePoint {
     /// Sample time.
     pub time: SimTime,
@@ -23,7 +22,7 @@ pub struct TracePoint {
 }
 
 /// A utilisation trace sampled at fixed intervals.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct UtilizationTrace {
     /// Samples in time order.
     pub points: Vec<TracePoint>,

@@ -1,8 +1,8 @@
 //! Point-to-point communication and the world/rank runtime.
 
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use sim_core::{SimDuration, SimTime, VirtualClock};
 
@@ -186,7 +186,7 @@ impl MpiWorld {
         let mut senders = Vec::with_capacity(size);
         let mut receivers = Vec::with_capacity(size);
         for _ in 0..size {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             senders.push(tx);
             receivers.push(rx);
         }

@@ -6,7 +6,6 @@
 //! payload by 4/3 and burns CPU time on both sides. rFaaS transmits raw
 //! bytes, which is part of its bandwidth advantage.
 
-use serde::{Deserialize, Serialize};
 use sim_core::SimDuration;
 
 const ALPHABET: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
@@ -75,7 +74,7 @@ pub fn base64_encoded_len(raw_bytes: usize) -> usize {
 }
 
 /// CPU cost model of encoding/decoding payloads for JSON-based FaaS APIs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EncodingCost {
     /// Per-byte CPU cost of base64 encoding (measured on a ~3 GHz core,
     /// roughly 1 GB/s for a scalar implementation).

@@ -7,14 +7,13 @@
 //! [`HttpExchange`] helper composes those pieces into the request/response
 //! time that the baseline platform models consume.
 
-use serde::{Deserialize, Serialize};
 use sim_core::SimDuration;
 
 use crate::encoding::EncodingCost;
 use crate::tcp::TcpProfile;
 
 /// Cost constants of an HTTP/1.1 + JSON API layer.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HttpProfile {
     /// Underlying TCP transport.
     pub tcp: TcpProfile,

@@ -11,11 +11,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use sim_core::{SimDuration, SimTime, VirtualClock};
 
 /// Cost constants of the kernel TCP/IP path.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TcpProfile {
     /// One-way wire latency (propagation + switching).
     pub one_way_latency: SimDuration,

@@ -6,10 +6,12 @@
 //! reliable-connection establishment cost from the NIC profile — the cost
 //! rFaaS clients amortise by caching connections inside leases (Sec. III-B).
 
+use std::sync::mpsc::{
+    channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError,
+};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use sim_core::SimTime;
 
 use crate::error::{FabricError, Result};
@@ -24,7 +26,7 @@ pub(crate) struct ConnectRequest {
     /// Whether the client redeemed a pool warmth token for this remote: both
     /// sides then charge the (much cheaper) warm re-establishment tier.
     warm: bool,
-    reply: Sender<()>,
+    reply: SyncSender<()>,
 }
 
 /// Cloneable handle stored in the fabric's listener table.
@@ -62,7 +64,7 @@ impl Listener {
     /// Bind a listener at `address`. Rebinding an address replaces the
     /// previous listener, like restarting a daemon on the same port.
     pub fn bind(fabric: &Arc<Fabric>, address: &str) -> Listener {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let token = Fabric::next_listener_token();
         fabric.register_listener(address, ListenerHandle { tx, token });
         Listener {
@@ -96,10 +98,8 @@ impl Listener {
     ) -> Result<Option<QueuePair>> {
         match self.rx.recv_timeout(timeout) {
             Ok(request) => self.finish_accept(endpoint, request).map(Some),
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => Ok(None),
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                Err(FabricError::ConnectionLost)
-            }
+            Err(RecvTimeoutError::Timeout) => Ok(None),
+            Err(RecvTimeoutError::Disconnected) => Err(FabricError::ConnectionLost),
         }
     }
 
@@ -107,14 +107,9 @@ impl Listener {
     pub fn try_accept(&self, endpoint: &Endpoint) -> Result<Option<QueuePair>> {
         match self.rx.try_recv() {
             Ok(request) => self.finish_accept(endpoint, request).map(Some),
-            Err(crossbeam::channel::TryRecvError::Empty) => Ok(None),
-            Err(crossbeam::channel::TryRecvError::Disconnected) => Err(FabricError::ConnectionLost),
+            Err(TryRecvError::Empty) => Ok(None),
+            Err(TryRecvError::Disconnected) => Err(FabricError::ConnectionLost),
         }
-    }
-
-    /// Number of connection requests waiting to be accepted.
-    pub fn pending(&self) -> usize {
-        self.rx.len()
     }
 
     fn finish_accept(&self, endpoint: &Endpoint, request: ConnectRequest) -> Result<QueuePair> {
@@ -196,7 +191,7 @@ fn connect_inner(
         .ok_or_else(|| FabricError::UnknownAddress(address.to_string()))?;
     let profile = endpoint.fabric.profile().clone();
     let client_qp = QueuePair::new(endpoint);
-    let (reply_tx, reply_rx) = bounded(1);
+    let (reply_tx, reply_rx) = sync_channel(1);
     let request = ConnectRequest {
         client_qp: client_qp.clone(),
         client_time: endpoint.clock.now(),
@@ -209,14 +204,12 @@ fn connect_inner(
         .map_err(|_| FabricError::UnknownAddress(address.to_string()))?;
     match reply_rx.recv_timeout(timeout) {
         Ok(()) => {}
-        Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
+        Err(RecvTimeoutError::Timeout) => {
             return Err(FabricError::Timeout {
                 operation: "connect",
             })
         }
-        Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-            return Err(FabricError::ConnectionLost)
-        }
+        Err(RecvTimeoutError::Disconnected) => return Err(FabricError::ConnectionLost),
     }
     // The client pays the connection-establishment latency of its tier.
     endpoint.clock.advance(if warm {
@@ -282,7 +275,7 @@ impl DatagramSocket {
     /// endpoint setup on the endpoint's clock. Rebinding an address replaces
     /// the previous socket.
     pub fn bind(endpoint: &Endpoint, address: &str) -> DatagramSocket {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let token = Fabric::next_listener_token();
         endpoint.fabric.register_datagram(
             address,
@@ -345,12 +338,10 @@ impl DatagramSocket {
                 self.observe(&msg);
                 Ok(msg)
             }
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => Err(FabricError::Timeout {
+            Err(RecvTimeoutError::Timeout) => Err(FabricError::Timeout {
                 operation: "datagram receive",
             }),
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                Err(FabricError::ConnectionLost)
-            }
+            Err(RecvTimeoutError::Disconnected) => Err(FabricError::ConnectionLost),
         }
     }
 
@@ -359,11 +350,6 @@ impl DatagramSocket {
         let msg = self.rx.try_recv().ok()?;
         self.observe(&msg);
         Some(msg)
-    }
-
-    /// Number of messages waiting to be received.
-    pub fn pending(&self) -> usize {
-        self.rx.len()
     }
 
     fn observe(&self, msg: &DatagramMessage) {
@@ -467,7 +453,6 @@ mod tests {
         let listener = Listener::bind(&fabric, "server:2");
         let ep = Endpoint::new(&fabric, &node);
         assert!(listener.try_accept(&ep).unwrap().is_none());
-        assert_eq!(listener.pending(), 0);
     }
 
     #[test]
@@ -698,7 +683,6 @@ mod tests {
             }
         );
         assert!(sock.try_recv().is_none());
-        assert_eq!(sock.pending(), 0);
     }
 
     #[test]

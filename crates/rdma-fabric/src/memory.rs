@@ -15,13 +15,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
 
 use crate::error::{FabricError, Result};
 
 /// Access permissions of a registered memory region, mirroring
 /// `IBV_ACCESS_*` flags.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessFlags {
     /// Local writes through the NIC (always needed for receives/reads).
     pub local_write: bool,
@@ -226,7 +225,7 @@ fn check_bounds(offset: usize, len: usize, region_len: usize) -> Result<()> {
 /// Address + rkey of a (range of a) remote region, as exchanged between rFaaS
 /// clients and executors in the connection handshake and in the 12-byte
 /// invocation header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RemoteMemoryHandle {
     /// Remote key of the target registration.
     pub rkey: u64,

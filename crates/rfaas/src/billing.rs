@@ -12,7 +12,6 @@
 use rdma_fabric::{
     AccessFlags, Endpoint, MemoryRegion, QueuePair, RemoteMemoryHandle, SendRequest, Sge,
 };
-use serde::{Deserialize, Serialize};
 use sim_core::sync::{ranks, OrderedMutex};
 use sim_core::SimDuration;
 
@@ -26,7 +25,7 @@ pub const BILLING_SLOTS: usize = 4096;
 
 /// Usage accumulated by one executor on behalf of one lease, in microseconds
 /// of virtual time (allocation time is additionally weighted by GiB).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UsageRecord {
     /// Allocation time × memory, in GiB·µs.
     pub allocation_gib_us: u64,

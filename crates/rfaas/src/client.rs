@@ -1,11 +1,12 @@
 //! The rFaaS client library: invoker, RDMA buffers and invocation futures.
 //!
 //! This is the Rust equivalent of the paper's C++ programming model
-//! (Sec. IV-B, Fig. 7, Listing 2): an [`Invoker`] acquires leases, connects
-//! directly to the executor workers, and submits function invocations by
-//! writing the header and payload straight into the workers' registered
-//! memory. Results are represented by [`InvocationFuture`]s and land directly
-//! in client-side [`Buffer`]s written remotely by the executor.
+//! (Sec. IV-B, Fig. 7, Listing 2): a crate-private `Invoker` acquires
+//! leases, connects directly to the executor workers, and submits function
+//! invocations by writing the header and payload straight into the workers'
+//! registered memory. Results land directly in client-side [`Buffer`]s
+//! written remotely by the executor. Applications reach all of this through
+//! [`crate::Session`], which owns the invoker.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -18,7 +19,7 @@ use rdma_fabric::{
 use sandbox::CodePackage;
 use sim_core::sync::{ranks, OrderedMutex};
 use sim_core::{SimDuration, SimTime, VirtualClock};
-use state_plane::{StateClient, StateClientStats, StateError, StatePlane, StateSpec};
+use state_plane::{StateClient, StateClientStats, StatePlane, StateSpec};
 
 use crate::codec::Codec;
 use crate::config::{PollingMode, RFaasConfig};
@@ -138,7 +139,7 @@ impl Buffer {
 /// (the `rfaas::allocator` of Listing 2).
 #[derive(Debug, Clone)]
 pub struct BufferAllocator {
-    pd: ProtectionDomain,
+    pub(crate) pd: ProtectionDomain,
 }
 
 impl BufferAllocator {
@@ -278,9 +279,48 @@ struct ActiveAllocation {
     connections: Vec<Arc<WorkerConnection>>,
 }
 
+/// Maximum lease re-allocations one invocation attempts by default before
+/// surfacing the failure (guards against a platform that keeps handing out
+/// instantly-dying leases).
+pub(crate) const DEFAULT_RECOVERY_BUDGET: u32 = 3;
+
+/// How an [`Invoker`] is wired beyond its platform configuration: the
+/// knobs [`crate::AllocationBuilder`] collects. A `None` resource gets a
+/// private instance; a shared one is installed before the first allocation,
+/// since connections capture the reactor, clock and pool at connect time and
+/// re-allocations re-attach to the same state plane.
+#[derive(Debug, Clone)]
+pub(crate) struct InvokerOptions {
+    /// Transparent re-allocations per invocation before a failure surfaces.
+    pub(crate) recovery_budget: u32,
+    /// How allocations (re-allocations included) provision the sandbox.
+    pub(crate) policy: AllocationPolicy,
+    /// Completion reactor shared with other sessions.
+    pub(crate) reactor: Option<Reactor>,
+    /// Virtual clock shared with other sessions.
+    pub(crate) clock: Option<Arc<VirtualClock>>,
+    /// Connection-warmth pool shared with other sessions.
+    pub(crate) pool: Option<ConnectionPool>,
+    /// State plane every allocation attaches to.
+    pub(crate) state_plane: Option<StatePlane>,
+}
+
+impl Default for InvokerOptions {
+    fn default() -> InvokerOptions {
+        InvokerOptions {
+            recovery_budget: DEFAULT_RECOVERY_BUDGET,
+            policy: AllocationPolicy::default(),
+            reactor: None,
+            clock: None,
+            pool: None,
+            state_plane: None,
+        }
+    }
+}
+
 /// The client-side invoker: manages leases, executor connections and
 /// invocation submission (the `rfaas::invoker` of Listing 2).
-pub struct Invoker {
+pub(crate) struct Invoker {
     fabric: Arc<Fabric>,
     clock: Arc<VirtualClock>,
     reactor: Reactor,
@@ -288,9 +328,9 @@ pub struct Invoker {
     node_name: String,
     config: RFaasConfig,
     manager: Arc<ResourceManager>,
-    /// Warmth pool worker connects draw from; shared across sessions via
-    /// [`Invoker::set_connection_pool`] so lease churn back to the same
-    /// executor reuses the warm re-establishment tier.
+    /// Warmth pool worker connects draw from; shared across sessions (see
+    /// [`InvokerOptions::pool`]) so lease churn back to the same executor
+    /// reuses the warm re-establishment tier.
     pool: ConnectionPool,
     /// Datagram socket for first contact with the resource manager, bound
     /// lazily on the first allocation and reused for every re-allocation.
@@ -314,14 +354,14 @@ pub struct Invoker {
     /// How the allocator provisions the executor sandbox: full cold spawn,
     /// remote fork from a parked parent, or warm-pool resume.
     policy: AllocationPolicy,
-    /// The state plane this invoker's allocations attach to, if any. Set
-    /// before `allocate`; every fresh allocation re-attaches the executor
-    /// process to it (recovery included).
-    state_plane: Option<StatePlane>,
+    /// The state plane this invoker's allocations attach to, if any; every
+    /// fresh allocation re-attaches the executor process to it (recovery
+    /// included).
+    pub(crate) state_plane: Option<StatePlane>,
     /// The session-side caching state client, attached lazily on the first
     /// allocation and kept across re-allocations (the cache region and its
     /// datagram endpoint belong to the client node, not to any lease).
-    session_state: OrderedMutex<Option<StateClient>>,
+    pub(crate) session_state: OrderedMutex<Option<StateClient>>,
 }
 
 /// Everything one invocation needs to be posted (and transparently
@@ -374,21 +414,22 @@ impl std::fmt::Debug for Invoker {
 
 impl Invoker {
     /// Create an invoker for a client application running on `client_node`.
-    pub fn new(
+    pub(crate) fn new(
         fabric: &Arc<Fabric>,
         client_node: &str,
         manager: &Arc<ResourceManager>,
         config: RFaasConfig,
+        options: InvokerOptions,
     ) -> Invoker {
         Invoker {
             fabric: Arc::clone(fabric),
-            clock: VirtualClock::shared(),
-            reactor: Reactor::new(),
+            clock: options.clock.unwrap_or_else(VirtualClock::shared),
+            reactor: options.reactor.unwrap_or_default(),
             pd: ProtectionDomain::new(),
             node_name: client_node.to_string(),
             config,
             manager: Arc::clone(manager),
-            pool: ConnectionPool::new(),
+            pool: options.pool.unwrap_or_default(),
             control: OrderedMutex::new(ranks::CLIENT_CONTROL, None),
             connections_opened: AtomicU64::new(0),
             active: OrderedMutex::new(ranks::CLIENT_ACTIVE, None),
@@ -399,115 +440,24 @@ impl Invoker {
             round_robin: AtomicUsize::new(0),
             cold_start: OrderedMutex::new(ranks::CLIENT_COLD_START, None),
             recoveries: AtomicU32::new(0),
-            recovery_budget: Invoker::DEFAULT_RECOVERY_BUDGET,
-            policy: AllocationPolicy::default(),
-            state_plane: None,
+            recovery_budget: options.recovery_budget,
+            policy: options.policy,
+            state_plane: options.state_plane,
             session_state: OrderedMutex::new(ranks::CLIENT_SESSION_STATE, None),
         }
     }
 
-    /// Default maximum lease re-allocations one invocation will attempt
-    /// before surfacing the failure (guards against a platform that keeps
-    /// handing out instantly-dying leases).
-    pub const DEFAULT_RECOVERY_BUDGET: u32 = 3;
-
-    /// Override the per-invocation transparent-recovery budget (see
-    /// [`Invoker::DEFAULT_RECOVERY_BUDGET`]).
-    pub fn set_recovery_budget(&mut self, budget: u32) {
-        self.recovery_budget = budget;
-    }
-
-    /// The per-invocation transparent-recovery budget.
-    pub fn recovery_budget(&self) -> u32 {
-        self.recovery_budget
-    }
-
-    /// Choose how allocations provision their executor sandbox (cold spawn,
-    /// remote fork, or warm-pool resume). Applies to the next `allocate` and
-    /// to transparent re-allocations; fork and warm-pool degrade to a cold
-    /// spawn when the chosen executor holds no suitable warm parent.
-    pub fn set_allocation_policy(&mut self, policy: AllocationPolicy) {
-        self.policy = policy;
-    }
-
-    /// The provisioning policy the next allocation will use.
-    pub fn allocation_policy(&self) -> AllocationPolicy {
-        self.policy
-    }
-
     /// Fault state of the active allocation's forked sandbox: `None` when
     /// nothing is allocated or the sandbox was not provisioned by fork.
-    pub fn fork_state(&self) -> Option<Arc<ForkFaultState>> {
+    pub(crate) fn fork_state(&self) -> Option<Arc<ForkFaultState>> {
         self.active
             .lock()
             .as_ref()
             .and_then(|a| a.executor.allocator().fork_state(a.process_id))
     }
 
-    /// Attach a [`StatePlane`] to this invoker: the session gains a caching
-    /// state client on its first allocation, and every executor process the
-    /// invoker allocates (transparent re-allocations included) is bound to
-    /// the same plane so stateful functions can materialise declared keys.
-    /// Must be called before `allocate`.
-    pub fn set_state_plane(&mut self, plane: &StatePlane) {
-        self.state_plane = Some(plane.clone());
-    }
-
-    /// Whether a state plane is attached.
-    pub fn has_state_plane(&self) -> bool {
-        self.state_plane.is_some()
-    }
-
-    /// Whether `key` currently exists in the attached state plane (false
-    /// when no plane is attached).
-    pub fn state_contains(&self, key: &str) -> bool {
-        self.state_plane.as_ref().is_some_and(|p| p.contains(key))
-    }
-
-    /// Run `f` over the session's state client, surfacing the missing-plane
-    /// case as a typed error.
-    fn with_session_state<R>(&self, f: impl FnOnce(&mut StateClient) -> Result<R>) -> Result<R> {
-        let mut guard = self.session_state.lock();
-        match guard.as_mut() {
-            Some(client) => f(client),
-            None => Err(RFaasError::StatePlane(StateError::Protocol(
-                "no state plane is attached to this session".into(),
-            ))),
-        }
-    }
-
-    /// Store `value` under `key` in the attached state plane (push-model
-    /// RDMA write through the session's cache).
-    pub fn state_put(&self, key: &str, value: &[u8]) -> Result<()> {
-        self.with_session_state(|c| c.put(key, value).map_err(RFaasError::StatePlane))
-    }
-
-    /// Read `key` through the session's state cache into an owned vector.
-    pub fn state_get(&self, key: &str) -> Result<Vec<u8>> {
-        self.with_session_state(|c| c.get(key).map_err(RFaasError::StatePlane))
-    }
-
-    /// Read `key` and hand the cached bytes to `f` *in place* — the
-    /// zero-copy path over the pre-registered cache region (pair with
-    /// [`crate::Codec::decode_view`] for a typed window).
-    pub fn state_get_with<R>(&self, key: &str, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
-        self.with_session_state(|c| c.get_with(key, f).map_err(RFaasError::StatePlane))
-    }
-
-    /// Delete `key` from the attached state plane; returns whether it
-    /// existed.
-    pub fn state_delete(&self, key: &str) -> Result<bool> {
-        self.with_session_state(|c| c.delete(key).map_err(RFaasError::StatePlane))
-    }
-
-    /// Counters of the session-side state client (`None` before the first
-    /// allocation or without a plane).
-    pub fn state_stats(&self) -> Option<StateClientStats> {
-        self.session_state.lock().as_ref().map(|c| c.stats())
-    }
-
     /// Counters of the active executor process's state client.
-    pub fn executor_state_stats(&self) -> Option<StateClientStats> {
+    pub(crate) fn executor_state_stats(&self) -> Option<StateClientStats> {
         self.active
             .lock()
             .as_ref()
@@ -516,7 +466,7 @@ impl Invoker {
 
     /// Register the declared key set of `function` with the active executor
     /// process (the executor side of [`crate::FunctionHandle::with_state`]).
-    pub fn bind_state_spec(&self, function: &str, spec: StateSpec) -> Result<()> {
+    pub(crate) fn bind_state_spec(&self, function: &str, spec: StateSpec) -> Result<()> {
         let active = self.active.lock();
         let active = active.as_ref().ok_or(RFaasError::NotAllocated)?;
         active
@@ -525,41 +475,15 @@ impl Invoker {
             .bind_state_spec(active.process_id, function, spec)
     }
 
-    /// Share a completion reactor with other invokers (one event loop driving
-    /// many sessions from one thread). Must be called before `allocate` —
-    /// connections register with whatever reactor is installed at connect
-    /// time.
-    pub fn set_reactor(&mut self, reactor: Reactor) {
-        self.reactor = reactor;
-    }
-
     /// The invoker's completion reactor: every worker connection is
     /// registered with it and one [`Reactor::turn`] pumps them all.
-    pub fn reactor(&self) -> &Reactor {
+    pub(crate) fn reactor(&self) -> &Reactor {
         &self.reactor
-    }
-
-    /// Share a virtual clock with other invokers (sessions driven by one
-    /// client thread advance one clock). Must be called before `allocate` —
-    /// worker endpoints capture the clock at connect time.
-    pub fn set_clock(&mut self, clock: Arc<VirtualClock>) {
-        self.clock = clock;
-    }
-
-    /// Share a connection-warmth pool with other invokers. Must be called
-    /// before `allocate` — re-allocations consult whatever pool is installed.
-    pub fn set_connection_pool(&mut self, pool: ConnectionPool) {
-        self.pool = pool;
-    }
-
-    /// The invoker's connection-warmth pool.
-    pub fn connection_pool(&self) -> &ConnectionPool {
-        &self.pool
     }
 
     /// Connection-plane counters: physical connects, pool hit/miss, and the
     /// active executor process's shared-receive-queue high watermark.
-    pub fn connection_stats(&self) -> ConnectionPlaneStats {
+    pub(crate) fn connection_stats(&self) -> ConnectionPlaneStats {
         let pool = self.pool.stats();
         let srq_depth_high_watermark = self.active.lock().as_ref().map_or(0, |a| {
             a.executor.allocator().srq_high_watermark(a.process_id)
@@ -607,7 +531,7 @@ impl Invoker {
     }
 
     /// Whether `function` exists in the currently allocated code package.
-    pub fn has_function(&self, function: &str) -> bool {
+    pub(crate) fn has_function(&self, function: &str) -> bool {
         self.active
             .lock()
             .as_ref()
@@ -616,7 +540,7 @@ impl Invoker {
 
     /// Names of every function in the currently allocated code package (the
     /// session-level function registry; empty when nothing is allocated).
-    pub fn function_names(&self) -> Vec<String> {
+    pub(crate) fn function_names(&self) -> Vec<String> {
         self.active.lock().as_ref().map_or_else(Vec::new, |a| {
             a.package
                 .functions()
@@ -627,19 +551,19 @@ impl Invoker {
     }
 
     /// The client's virtual clock (latency measurements are deltas of this).
-    pub fn clock(&self) -> &Arc<VirtualClock> {
+    pub(crate) fn clock(&self) -> &Arc<VirtualClock> {
         &self.clock
     }
 
     /// Buffer allocator bound to the invoker's protection domain.
-    pub fn allocator(&self) -> BufferAllocator {
+    pub(crate) fn allocator(&self) -> BufferAllocator {
         BufferAllocator {
             pd: self.pd.clone(),
         }
     }
 
     /// Number of connected executor workers.
-    pub fn worker_count(&self) -> usize {
+    pub(crate) fn worker_count(&self) -> usize {
         self.active
             .lock()
             .as_ref()
@@ -647,26 +571,25 @@ impl Invoker {
     }
 
     /// Cold-start breakdown of the last allocation, if any.
-    pub fn cold_start(&self) -> Option<ColdStartBreakdown> {
+    pub(crate) fn cold_start(&self) -> Option<ColdStartBreakdown> {
         self.cold_start.lock().clone()
     }
 
     /// The active lease, if any.
-    pub fn lease(&self) -> Option<Lease> {
+    pub(crate) fn lease(&self) -> Option<Lease> {
         self.active.lock().as_ref().map(|a| a.lease.clone())
     }
 
     /// How many times the invoker transparently re-allocated after a lease
-    /// expired or an executor was lost (the recovery analogue of
-    /// [`InvocationFuture::redirections`]).
-    pub fn recoveries(&self) -> u32 {
+    /// expired or an executor was lost.
+    pub(crate) fn recoveries(&self) -> u32 {
         self.recoveries.load(Ordering::Relaxed)
     }
 
     /// Acquire a lease and spin up executor workers (the cold invocation path
     /// of Fig. 5/6). `mode` selects hot busy-polling or warm blocking waits
     /// on the executor side.
-    pub fn allocate(
+    pub(crate) fn allocate(
         &mut self,
         request: LeaseRequest,
         mode: PollingMode,
@@ -919,7 +842,7 @@ impl Invoker {
     /// `now + extension` (charged at the lease-renewal processing cost), then
     /// the executor-side deadline update, so long-running clients keep their
     /// hot workers. Returns the new expiry instant.
-    pub fn extend_lease(&self, extension: SimDuration) -> Result<SimTime> {
+    pub(crate) fn extend_lease(&self, extension: SimDuration) -> Result<SimTime> {
         let (lease_id, executor) = {
             let active = self.active.lock();
             let active = active.as_ref().ok_or(RFaasError::NotAllocated)?;
@@ -979,7 +902,7 @@ impl Invoker {
 
     /// Submit an invocation of `function` with `payload_len` bytes from
     /// `input`; the result will be written into `output`.
-    pub fn submit(
+    pub(crate) fn submit(
         &self,
         function: &str,
         input: &Buffer,
@@ -988,25 +911,6 @@ impl Invoker {
     ) -> Result<InvocationFuture<'_>> {
         self.submit_spec(InvocationSpec {
             worker: None,
-            function: function.to_string(),
-            input: input.clone(),
-            payload_len,
-            output: output.clone(),
-        })
-    }
-
-    /// Submit to a specific worker (used for explicit work partitioning and
-    /// by the redirection path).
-    pub fn submit_to_worker(
-        &self,
-        worker: usize,
-        function: &str,
-        input: &Buffer,
-        payload_len: usize,
-        output: &Buffer,
-    ) -> Result<InvocationFuture<'_>> {
-        self.submit_spec(InvocationSpec {
-            worker: Some(worker),
             function: function.to_string(),
             input: input.clone(),
             payload_len,
@@ -1356,7 +1260,7 @@ impl Invoker {
 
     /// Convenience wrapper: submit one invocation and wait for its result,
     /// returning the output length and the client-observed round-trip time.
-    pub fn invoke_sync(
+    pub(crate) fn invoke_sync(
         &self,
         function: &str,
         input: &Buffer,
@@ -1371,7 +1275,7 @@ impl Invoker {
 
     /// Release all executor resources and the lease (Listing 2's
     /// `invoker.deallocate()`).
-    pub fn deallocate(&mut self) -> Result<()> {
+    pub(crate) fn deallocate(&mut self) -> Result<()> {
         *self.last_request.lock() = None;
         self.deallocate_internal();
         Ok(())
@@ -1426,7 +1330,7 @@ impl Drop for Invoker {
 /// The in-flight result of a submitted invocation (`std::future`-style,
 /// Sec. IV-B). Waiting busy-polls the client-side completion queue, which is
 /// what the paper's invoker does to minimise latency.
-pub struct InvocationFuture<'a> {
+pub(crate) struct InvocationFuture<'a> {
     invoker: &'a Invoker,
     connection: Arc<WorkerConnection>,
     invocation_id: u32,
@@ -1449,18 +1353,13 @@ impl std::fmt::Debug for InvocationFuture<'_> {
 
 impl InvocationFuture<'_> {
     /// The invocation identifier carried in the immediate value.
-    pub fn id(&self) -> u32 {
+    pub(crate) fn id(&self) -> u32 {
         self.invocation_id
-    }
-
-    /// Number of times the invocation was redirected after a rejection.
-    pub fn redirections(&self) -> u32 {
-        self.redirections
     }
 
     /// Number of times the invocation was replayed onto a fresh lease after
     /// an expiry or executor loss.
-    pub fn recoveries(&self) -> u32 {
+    pub(crate) fn recoveries(&self) -> u32 {
         self.recoveries
     }
 
@@ -1474,7 +1373,7 @@ impl InvocationFuture<'_> {
     /// registered connection, then this invocation's stash is checked. A
     /// `true` result makes the next [`InvocationFuture::wait`] return without
     /// further polling (modulo transparent redirections).
-    pub fn is_complete(&self) -> bool {
+    pub(crate) fn is_complete(&self) -> bool {
         self.invoker.reactor.turn();
         self.connection.has_result(self.invocation_id)
     }
@@ -1527,7 +1426,7 @@ impl InvocationFuture<'_> {
     /// because the lease expired — or stranded because the executor node
     /// disappeared — are transparently replayed onto a fresh lease obtained
     /// from the resource manager (Sec. III-B failure handling).
-    pub fn wait(mut self) -> Result<usize> {
+    pub(crate) fn wait(mut self) -> Result<usize> {
         loop {
             let (byte_len, status) = match self
                 .invoker
@@ -1600,7 +1499,13 @@ mod tests {
             RFaasConfig::default(),
         );
         manager.register_executor(&executor);
-        let mut invoker = Invoker::new(&fabric, "client-0", &manager, RFaasConfig::default());
+        let mut invoker = Invoker::new(
+            &fabric,
+            "client-0",
+            &manager,
+            RFaasConfig::default(),
+            InvokerOptions::default(),
+        );
         invoker
             .allocate(
                 LeaseRequest::single_worker("pkg").with_cores(workers),
@@ -1614,7 +1519,13 @@ mod tests {
     fn buffers_round_trip_payloads() {
         let fabric = Fabric::with_defaults();
         let manager = ResourceManager::new(&fabric, RFaasConfig::default());
-        let invoker = Invoker::new(&fabric, "c", &manager, RFaasConfig::default());
+        let invoker = Invoker::new(
+            &fabric,
+            "c",
+            &manager,
+            RFaasConfig::default(),
+            InvokerOptions::default(),
+        );
         let alloc = invoker.allocator();
         let input = alloc.input(64);
         assert_eq!(input.capacity(), 64);
@@ -1637,7 +1548,13 @@ mod tests {
         // as the complete result.
         let fabric = Fabric::with_defaults();
         let manager = ResourceManager::new(&fabric, RFaasConfig::default());
-        let invoker = Invoker::new(&fabric, "c", &manager, RFaasConfig::default());
+        let invoker = Invoker::new(
+            &fabric,
+            "c",
+            &manager,
+            RFaasConfig::default(),
+            InvokerOptions::default(),
+        );
         let alloc = invoker.allocator();
         let buf = alloc.output(32);
         buf.write_payload(&[1u8; 32]).unwrap();
@@ -1777,7 +1694,13 @@ mod tests {
             RFaasConfig::default(),
         );
         manager.register_executor(&executor);
-        let mut invoker = Invoker::new(&fabric, "client", &manager, RFaasConfig::default());
+        let mut invoker = Invoker::new(
+            &fabric,
+            "client",
+            &manager,
+            RFaasConfig::default(),
+            InvokerOptions::default(),
+        );
 
         // The manager grants the lease (it does not validate packages), then
         // the allocator rejects the unknown package. Regression: the granted
@@ -1810,7 +1733,13 @@ mod tests {
     fn extend_lease_requires_an_allocation() {
         let fabric = Fabric::with_defaults();
         let manager = ResourceManager::new(&fabric, RFaasConfig::default());
-        let invoker = Invoker::new(&fabric, "c", &manager, RFaasConfig::default());
+        let invoker = Invoker::new(
+            &fabric,
+            "c",
+            &manager,
+            RFaasConfig::default(),
+            InvokerOptions::default(),
+        );
         assert!(matches!(
             invoker.extend_lease(SimDuration::from_secs(60)),
             Err(RFaasError::NotAllocated)
@@ -1858,7 +1787,13 @@ mod tests {
     fn submit_without_allocation_fails() {
         let fabric = Fabric::with_defaults();
         let manager = ResourceManager::new(&fabric, RFaasConfig::default());
-        let invoker = Invoker::new(&fabric, "c", &manager, RFaasConfig::default());
+        let invoker = Invoker::new(
+            &fabric,
+            "c",
+            &manager,
+            RFaasConfig::default(),
+            InvokerOptions::default(),
+        );
         let alloc = invoker.allocator();
         let input = alloc.input(16);
         let output = alloc.output(16);
@@ -1923,7 +1858,13 @@ mod tests {
             connect_timeout: std::time::Duration::from_millis(50),
             ..Default::default()
         };
-        let invoker = Invoker::new(&fabric, "client-0", &manager, config);
+        let invoker = Invoker::new(
+            &fabric,
+            "client-0",
+            &manager,
+            config,
+            InvokerOptions::default(),
+        );
         // A listener nobody ever accepts on: the client's connect request
         // sits in the accept queue until the client gives up.
         let _silent = rdma_fabric::Listener::bind(&fabric, "rfaas://dead-node/1/1");

@@ -1,11 +1,10 @@
 //! Platform configuration and calibrated rFaaS-specific costs.
 
 use sandbox::SandboxType;
-use serde::{Deserialize, Serialize};
 use sim_core::SimDuration;
 
 /// How an executor worker waits for invocations (Sec. III-C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PollingMode {
     /// Busy-poll the completion queue: ~300 ns invocation overhead, but the
     /// worker occupies its CPU core and the hot-poll time is billed.
@@ -20,7 +19,7 @@ pub enum PollingMode {
 
 /// Cost constants of the rFaaS data path and control plane, calibrated
 /// against Sec. V of the paper.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RFaasConfig {
     /// Executor-side cost of parsing the invocation header, locating the
     /// function and setting up its arguments. Together with the result

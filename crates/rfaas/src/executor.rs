@@ -735,8 +735,13 @@ fn serve_completion(
     shared.clock.advance(config.dispatch_cost);
 
     let function = package.function_by_index(function_index as usize).cloned();
+    // The counters settle before the result is posted: a client reading
+    // `WorkerStats` right after its `wait` sees this invocation counted.
     let response = match function {
-        None => (0usize, ResultStatus::FunctionFailed),
+        None => {
+            shared.stats.lock().failed += 1;
+            (0usize, ResultStatus::FunctionFailed)
+        }
         Some(function) => {
             let input_bytes = conn
                 .input
@@ -793,17 +798,23 @@ fn serve_completion(
             };
             shared.clock.advance(function.compute_cost(payload_len));
             let busy = shared.clock.now().saturating_since(started);
+            let response = match outcome {
+                Ok(n) if n <= result_handle.len => (n, ResultStatus::Success),
+                Ok(_) | Err(_) => (0, ResultStatus::FunctionFailed),
+            };
             {
                 let mut stats = shared.stats.lock();
                 stats.busy_time += busy;
+                if response.1 == ResultStatus::Success {
+                    stats.invocations += 1;
+                } else {
+                    stats.failed += 1;
+                }
             }
             if let Some(b) = billing {
                 b.record_compute(busy);
             }
-            match outcome {
-                Ok(n) if n <= result_handle.len => (n, ResultStatus::Success),
-                Ok(_) | Err(_) => (0, ResultStatus::FunctionFailed),
-            }
+            response
         }
     };
 
@@ -819,14 +830,6 @@ fn serve_completion(
         },
         false,
     );
-    {
-        let mut stats = shared.stats.lock();
-        match status {
-            ResultStatus::Success => stats.invocations += 1,
-            ResultStatus::FunctionFailed => stats.failed += 1,
-            ResultStatus::Rejected | ResultStatus::LeaseExpired => {}
-        }
-    }
     if acquired_for_this {
         core.release();
     }

@@ -68,10 +68,7 @@ pub mod session;
 pub mod sharding;
 
 pub use billing::{BillingClient, BillingDatabase, UsageRecord, BILLING_SLOTS};
-pub use client::{
-    BatchStats, Buffer, BufferAllocator, ColdStartBreakdown, ConnectionPlaneStats,
-    InvocationFuture, Invoker,
-};
+pub use client::{BatchStats, Buffer, BufferAllocator, ColdStartBreakdown, ConnectionPlaneStats};
 pub use codec::{check_capacity, Codec, F64View};
 pub use config::{PollingMode, RFaasConfig};
 pub use error::{RFaasError, Result};

@@ -182,7 +182,7 @@ impl GroupLifecycleDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::Invoker;
+    use crate::client::{Invoker, InvokerOptions};
     use crate::config::{PollingMode, RFaasConfig};
     use crate::executor::SpotExecutor;
     use crate::protocol::LeaseRequest;
@@ -260,7 +260,13 @@ mod tests {
     fn expired_leases_are_released_and_processes_reaped() {
         let (fabric, manager, execs) = platform(1);
         let driver = LifecycleDriver::new(&manager);
-        let mut invoker = Invoker::new(&fabric, "client", &manager, RFaasConfig::default());
+        let mut invoker = Invoker::new(
+            &fabric,
+            "client",
+            &manager,
+            RFaasConfig::default(),
+            InvokerOptions::default(),
+        );
         let mut request = LeaseRequest::single_worker("pkg");
         request.timeout = SimDuration::from_secs(10);
         invoker.allocate(request, PollingMode::Hot).unwrap();

@@ -15,7 +15,6 @@
 
 use rdma_fabric::RemoteMemoryHandle;
 use sandbox::SandboxType;
-use serde::{Deserialize, Serialize};
 use sim_core::{SimDuration, SimTime};
 
 use crate::error::{RFaasError, Result};
@@ -141,7 +140,7 @@ impl ImmValue {
 }
 
 /// A client's request for executor resources (A1 in Fig. 4).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LeaseRequest {
     /// Worker threads (= parallel function instances) requested.
     pub cores: u32,
@@ -187,7 +186,7 @@ impl LeaseRequest {
 }
 
 /// A granted lease on a spot executor (Sec. III-B).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Lease {
     /// Unique lease identifier.
     pub id: u64,

@@ -12,15 +12,14 @@
 //! path of [`rdma_fabric::QueuePair::post_send_batch`]) and returns a
 //! [`CompletionSet`] with `wait_any`/`wait_all`.
 //!
-//! The raw buffer API stays reachable through [`Session::raw`] for callers
-//! that need explicit zero-copy control (the invocation-spectrum tests, the
-//! latency microbenchmarks).
+//! Callers that manage registered buffers and payload lengths themselves
+//! (the invocation-spectrum tests, the latency microbenchmarks) pair
+//! [`Session::allocator`] with [`Session::invoke_raw`].
 //!
 //! Lease-recovery semantics are first-class here: the allocation epoch each
 //! submission observed and the transparent re-allocation budget flow through
-//! [`TypedFuture`] and [`CompletionSet`] exactly as they do through the raw
-//! [`InvocationFuture`], and the budget is a knob on the builder
-//! ([`AllocationBuilder::recovery_budget`]).
+//! [`TypedFuture`] and [`CompletionSet`], and the budget is a knob on the
+//! builder ([`AllocationBuilder::recovery_budget`]).
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;
@@ -33,7 +32,7 @@ use sim_core::{SimDuration, SimTime, VirtualClock};
 
 use crate::client::{
     BatchStats, Buffer, BufferAllocator, ColdStartBreakdown, ConnectionPlaneStats,
-    InvocationFuture, InvocationSpec, Invoker,
+    InvocationFuture, InvocationSpec, Invoker, InvokerOptions,
 };
 use crate::codec::Codec;
 use crate::config::{PollingMode, RFaasConfig};
@@ -42,7 +41,7 @@ use crate::executor::{AllocationPolicy, ForkFaultState};
 use crate::manager::ResourceManager;
 use crate::protocol::{Lease, LeaseRequest};
 use crate::reactor::Reactor;
-use state_plane::{StateClientStats, StateError, StateKey, StatePlane, StateSpec};
+use state_plane::{StateClient, StateClientStats, StateError, StateKey, StatePlane, StateSpec};
 
 /// Smallest output buffer the typed layer registers when the caller gives no
 /// explicit capacity: results at least as large as a small page are common
@@ -50,13 +49,12 @@ use state_plane::{StateClientStats, StateError, StateKey, StatePlane, StateSpec}
 /// floor keeps tiny inputs from allocating unusably small result buffers.
 const MIN_OUTPUT_CAPACITY: usize = 4096;
 
-/// Upper bound on buffer pairs the session's pool retains; beyond it,
-/// released buffers are dropped (deregistered) instead of cached.
+/// Upper bound on buffer pairs the session's pool retains; beyond it, the
+/// smaller of a released pair and the smallest pooled pair is deregistered.
 const MAX_POOLED_PAIRS: usize = 64;
 
 /// Fluent builder for a [`Session`]: lease shape, sandbox, polling mode and
-/// recovery policy in one place (the typed replacement for hand-assembling a
-/// [`LeaseRequest`] and calling `Invoker::allocate`).
+/// recovery policy in one place.
 #[derive(Debug, Clone)]
 pub struct AllocationBuilder {
     fabric: Arc<Fabric>,
@@ -69,14 +67,9 @@ pub struct AllocationBuilder {
     sandbox: SandboxType,
     lease_timeout: Option<SimDuration>,
     mode: PollingMode,
-    policy: AllocationPolicy,
-    recovery_budget: u32,
     start_at: Option<SimTime>,
-    reactor: Option<Reactor>,
-    shared_clock: Option<Arc<VirtualClock>>,
-    connection_pool: Option<ConnectionPool>,
     connect_timeout: Option<std::time::Duration>,
-    state_plane: Option<StatePlane>,
+    invoker: InvokerOptions,
 }
 
 impl AllocationBuilder {
@@ -101,14 +94,9 @@ impl AllocationBuilder {
             sandbox: SandboxType::BareMetal,
             lease_timeout: None,
             mode: PollingMode::Hot,
-            policy: AllocationPolicy::Cold,
-            recovery_budget: Invoker::DEFAULT_RECOVERY_BUDGET,
             start_at: None,
-            reactor: None,
-            shared_clock: None,
-            connection_pool: None,
             connect_timeout: None,
-            state_plane: None,
+            invoker: InvokerOptions::default(),
         }
     }
 
@@ -157,14 +145,14 @@ impl AllocationBuilder {
     /// to a cold spawn when no suitable parent is parked on the chosen
     /// executor.
     pub fn allocation_policy(mut self, policy: AllocationPolicy) -> AllocationBuilder {
-        self.policy = policy;
+        self.invoker.policy = policy;
         self
     }
 
     /// Maximum transparent lease re-allocations per invocation before the
-    /// failure surfaces (see [`Invoker::DEFAULT_RECOVERY_BUDGET`]).
+    /// failure surfaces (default 3).
     pub fn recovery_budget(mut self, budget: u32) -> AllocationBuilder {
-        self.recovery_budget = budget;
+        self.invoker.recovery_budget = budget;
         self
     }
 
@@ -180,14 +168,14 @@ impl AllocationBuilder {
     /// single client thread sustains in-flight invocations across all of
     /// them at once.
     pub fn reactor(mut self, reactor: &Reactor) -> AllocationBuilder {
-        self.reactor = Some(reactor.clone());
+        self.invoker.reactor = Some(reactor.clone());
         self
     }
 
     /// Share a virtual clock with other sessions (they model one client
     /// thread, whose virtual time advances across all of them).
     pub fn clock(mut self, clock: &Arc<VirtualClock>) -> AllocationBuilder {
-        self.shared_clock = Some(Arc::clone(clock));
+        self.invoker.clock = Some(Arc::clone(clock));
         self
     }
 
@@ -196,7 +184,7 @@ impl AllocationBuilder {
     /// earlier leases to the same executor node, so re-allocation after
     /// churn pays the warm setup tier instead of the full handshake.
     pub fn connection_pool(mut self, pool: &ConnectionPool) -> AllocationBuilder {
-        self.connection_pool = Some(pool.clone());
+        self.invoker.pool = Some(pool.clone());
         self
     }
 
@@ -213,7 +201,7 @@ impl AllocationBuilder {
     /// is bound to the same plane at allocation time (and re-bound across
     /// transparent re-allocations).
     pub fn state_plane(mut self, plane: &StatePlane) -> AllocationBuilder {
-        self.state_plane = Some(plane.clone());
+        self.invoker.state_plane = Some(plane.clone());
         self
     }
 
@@ -224,21 +212,13 @@ impl AllocationBuilder {
         if let Some(timeout) = self.connect_timeout {
             config.connect_timeout = timeout;
         }
-        let mut invoker = Invoker::new(&self.fabric, &self.client_node, &self.manager, config);
-        invoker.set_recovery_budget(self.recovery_budget);
-        invoker.set_allocation_policy(self.policy);
-        if let Some(pool) = self.connection_pool {
-            invoker.set_connection_pool(pool);
-        }
-        if let Some(reactor) = self.reactor {
-            invoker.set_reactor(reactor);
-        }
-        if let Some(clock) = self.shared_clock {
-            invoker.set_clock(clock);
-        }
-        if let Some(plane) = self.state_plane {
-            invoker.set_state_plane(&plane);
-        }
+        let mut invoker = Invoker::new(
+            &self.fabric,
+            &self.client_node,
+            &self.manager,
+            config,
+            self.invoker,
+        );
         if let Some(at) = self.start_at {
             invoker.clock().advance_to(at);
         }
@@ -251,8 +231,8 @@ impl AllocationBuilder {
         }
         invoker.allocate(request, self.mode)?;
         Ok(Session {
+            pool: BufferPool::new(invoker.allocator()),
             invoker,
-            pool: BufferPool::default(),
         })
     }
 }
@@ -260,24 +240,24 @@ impl AllocationBuilder {
 /// Pool of registered (input, output) buffer pairs reused across typed
 /// invocations, so steady-state invocations never re-register memory.
 struct BufferPool {
+    allocator: BufferAllocator,
     free: OrderedMutex<Vec<(Buffer, Buffer)>>,
 }
 
-impl Default for BufferPool {
-    fn default() -> BufferPool {
-        BufferPool {
-            free: OrderedMutex::new(ranks::SESSION_BUFFER_POOL, Vec::new()),
-        }
-    }
+/// Registered bytes of a buffer pair.
+fn pair_bytes((input, output): &(Buffer, Buffer)) -> usize {
+    input.region().len() + output.region().len()
 }
 
 impl BufferPool {
-    fn acquire(
-        &self,
-        allocator: &BufferAllocator,
-        input_capacity: usize,
-        output_capacity: usize,
-    ) -> (Buffer, Buffer) {
+    fn new(allocator: BufferAllocator) -> BufferPool {
+        BufferPool {
+            allocator,
+            free: OrderedMutex::new(ranks::SESSION_BUFFER_POOL, Vec::new()),
+        }
+    }
+
+    fn acquire(&self, input_capacity: usize, output_capacity: usize) -> (Buffer, Buffer) {
         let mut free = self.free.lock();
         if let Some(position) = free
             .iter()
@@ -287,22 +267,39 @@ impl BufferPool {
         }
         drop(free);
         (
-            allocator.input(input_capacity),
-            allocator.output(output_capacity),
+            self.allocator.input(input_capacity),
+            self.allocator.output(output_capacity),
         )
     }
 
+    /// Return a pair whose invocation completed. A full pool keeps the
+    /// larger of `pair` and its smallest pair, so payloads that grow from
+    /// wave to wave stop registering fresh memory once the pool has caught
+    /// up. The pair that leaves is deregistered: its `wait` succeeded, so no
+    /// write into it can still be in flight.
     fn release(&self, pair: (Buffer, Buffer)) {
         let mut free = self.free.lock();
         if free.len() < MAX_POOLED_PAIRS {
             free.push(pair);
+            return;
         }
+        let smallest = (0..free.len())
+            .min_by_key(|&i| pair_bytes(&free[i]))
+            .expect("a full pool is not empty");
+        let evicted = if pair_bytes(&pair) > pair_bytes(&free[smallest]) {
+            std::mem::replace(&mut free[smallest], pair)
+        } else {
+            pair
+        };
+        drop(free);
+        self.allocator.pd.deregister(evicted.0.region());
+        self.allocator.pd.deregister(evicted.1.region());
     }
 }
 
 /// One leased allocation and the typed invocation surface on top of it.
 ///
-/// A session owns the underlying [`Invoker`] (lease, worker connections,
+/// A session owns the client-side invoker (lease, worker connections,
 /// recovery machinery) plus a pool of registered buffers shared by every
 /// [`FunctionHandle`] it hands out. Dropping the session releases the lease.
 pub struct Session {
@@ -353,12 +350,21 @@ impl Session {
         self.invoker.function_names()
     }
 
-    /// The raw buffer-level client underneath the typed surface — the
-    /// explicit escape hatch for callers that manage registered buffers and
-    /// payload lengths themselves (zero-copy spectrum tests, latency
+    /// Invoke `function` on `payload_len` bytes already written into the
+    /// registered `input` buffer, with the result written straight into
+    /// `output`; returns the result length and the client-observed round
+    /// trip. The zero-copy path for callers that manage buffers from
+    /// [`Session::allocator`] themselves (spectrum tests, latency
     /// microbenchmarks).
-    pub fn raw(&self) -> &Invoker {
-        &self.invoker
+    pub fn invoke_raw(
+        &self,
+        function: &str,
+        input: &Buffer,
+        payload_len: usize,
+        output: &Buffer,
+    ) -> Result<(usize, SimDuration)> {
+        self.invoker
+            .invoke_sync(function, input, payload_len, output)
     }
 
     /// The session's virtual clock.
@@ -366,8 +372,8 @@ impl Session {
         self.invoker.clock()
     }
 
-    /// Buffer allocator bound to the session's protection domain (for raw
-    /// buffer management alongside the typed surface).
+    /// Buffer allocator bound to the session's protection domain (for
+    /// [`Session::invoke_raw`] alongside the typed surface).
     pub fn allocator(&self) -> BufferAllocator {
         self.invoker.allocator()
     }
@@ -391,7 +397,7 @@ impl Session {
         SessionStats {
             connections: self.invoker.connection_stats(),
             fork: self.invoker.fork_state(),
-            state_session: self.invoker.state_stats(),
+            state_session: self.state().stats(),
             state_executor: self.invoker.executor_state_stats(),
             workers: self.invoker.worker_count(),
             recoveries: self.invoker.recoveries(),
@@ -405,18 +411,6 @@ impl Session {
         SessionState {
             invoker: &self.invoker,
         }
-    }
-
-    /// Fault state of the session's forked sandbox.
-    #[deprecated(note = "use Session::stats().fork")]
-    pub fn fork_state(&self) -> Option<Arc<ForkFaultState>> {
-        self.invoker.fork_state()
-    }
-
-    /// Connection-plane counters.
-    #[deprecated(note = "use Session::stats().connections")]
-    pub fn connection_stats(&self) -> ConnectionPlaneStats {
-        self.invoker.connection_stats()
     }
 
     /// Number of connected executor workers.
@@ -477,21 +471,42 @@ pub struct SessionState<'s> {
 impl std::fmt::Debug for SessionState<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SessionState")
-            .field("attached", &self.invoker.has_state_plane())
+            .field("attached", &self.is_attached())
             .finish()
     }
 }
 
 impl SessionState<'_> {
-    /// Whether `key` currently exists in the plane.
+    /// Whether a state plane is attached to the session.
+    fn is_attached(&self) -> bool {
+        self.invoker.state_plane.is_some()
+    }
+
+    /// Run `f` over the session's state client, surfacing the missing-plane
+    /// case as a typed error.
+    fn with_client<R>(
+        &self,
+        f: impl FnOnce(&mut StateClient) -> std::result::Result<R, StateError>,
+    ) -> Result<R> {
+        match self.invoker.session_state.lock().as_mut() {
+            Some(client) => f(client).map_err(RFaasError::StatePlane),
+            None => Err(no_state_plane()),
+        }
+    }
+
+    /// Whether `key` currently exists in the plane (false when no plane is
+    /// attached).
     pub fn contains(&self, key: &str) -> bool {
-        self.invoker.state_contains(key)
+        self.invoker
+            .state_plane
+            .as_ref()
+            .is_some_and(|p| p.contains(key))
     }
 
     /// Store `value` under `key` (push-model RDMA write; the session's own
     /// cache is write-through, so a following `get` is a local hit).
     pub fn put(&self, key: &str, value: &[u8]) -> Result<()> {
-        self.invoker.state_put(key, value)
+        self.with_client(|c| c.put(key, value))
     }
 
     /// Encode `value` through its [`Codec`] and store it under `key`.
@@ -501,13 +516,13 @@ impl SessionState<'_> {
     {
         let mut buf = vec![0u8; value.encoded_len()];
         value.encode_into(&mut buf)?;
-        self.invoker.state_put(key, &buf)
+        self.put(key, &buf)
     }
 
     /// Read `key` into an owned vector (hot keys come straight out of the
     /// local cache; cold keys pay one one-sided RDMA read).
     pub fn get(&self, key: &str) -> Result<Vec<u8>> {
-        self.invoker.state_get(key)
+        self.with_client(|c| c.get(key))
     }
 
     /// Read `key` and decode it *in place* through `C`'s
@@ -518,19 +533,29 @@ impl SessionState<'_> {
     where
         C: Codec + ?Sized,
     {
-        self.invoker
-            .state_get_with(key, |bytes| C::decode_view(bytes).map(f))?
+        self.with_client(|c| c.get_with(key, |bytes| C::decode_view(bytes).map(f)))?
     }
 
     /// Delete `key`; returns whether it existed.
     pub fn delete(&self, key: &str) -> Result<bool> {
-        self.invoker.state_delete(key)
+        self.with_client(|c| c.delete(key))
     }
 
     /// Session-side cache counters (`None` before the first allocation).
     pub fn stats(&self) -> Option<StateClientStats> {
-        self.invoker.state_stats()
+        self.invoker
+            .session_state
+            .lock()
+            .as_ref()
+            .map(|c| c.stats())
     }
+}
+
+/// The error of a state operation on a session without a state plane.
+fn no_state_plane() -> RFaasError {
+    RFaasError::StatePlane(StateError::Protocol(
+        "no state plane is attached to this session".into(),
+    ))
 }
 
 /// Zero-sized marker tying a handle to its input/output codec types without
@@ -592,21 +617,19 @@ where
     /// dispatch and writes dirty read-write keys back after completion; any
     /// access outside the declaration fails the invocation.
     pub fn with_state(self, keys: impl IntoIterator<Item = StateKey>) -> Result<Self> {
-        let invoker = &self.session.invoker;
-        if !invoker.has_state_plane() {
-            return Err(RFaasError::StatePlane(StateError::Protocol(
-                "no state plane is attached to this session".into(),
-            )));
+        let state = self.session.state();
+        if !state.is_attached() {
+            return Err(no_state_plane());
         }
         let spec = StateSpec::new(keys);
         for key in spec.keys() {
-            if !invoker.state_contains(&key.name) {
+            if !state.contains(&key.name) {
                 return Err(RFaasError::StatePlane(StateError::UnknownKey(
                     key.name.clone(),
                 )));
             }
         }
-        invoker.bind_state_spec(&self.name, spec)?;
+        self.session.invoker.bind_state_spec(&self.name, spec)?;
         Ok(self)
     }
 
@@ -617,10 +640,7 @@ where
         let output_capacity = self
             .output_capacity
             .unwrap_or_else(|| payload_len.max(MIN_OUTPUT_CAPACITY));
-        let (input_buffer, output_buffer) =
-            self.session
-                .pool
-                .acquire(&self.session.allocator(), payload_len, output_capacity);
+        let (input_buffer, output_buffer) = self.session.pool.acquire(payload_len, output_capacity);
         input_buffer.write_encoded(input)?;
         Ok(InvocationSpec {
             worker,
@@ -712,8 +732,8 @@ where
 
 /// The in-flight result of one typed submission; waiting decodes the output
 /// through `O`'s [`Codec`] and recycles the invocation's buffers into the
-/// session pool. Transparent redirection and lease recovery behave exactly
-/// as on the raw [`InvocationFuture`].
+/// session pool. Rejected invocations are transparently redirected to another
+/// worker, and lost or expired leases transparently re-allocated.
 pub struct TypedFuture<'s, O: ?Sized> {
     future: InvocationFuture<'s>,
     session: &'s Session,
@@ -741,8 +761,10 @@ where
         self.future.recoveries()
     }
 
-    /// Non-blocking completion probe (see
-    /// [`InvocationFuture::is_complete`]).
+    /// Non-blocking completion probe: one reactor turn pumps every
+    /// connection, then this invocation's result is checked. A `true` result
+    /// makes the next [`TypedFuture::wait`] return without further polling
+    /// (modulo transparent redirections).
     pub fn is_complete(&self) -> bool {
         self.future.is_complete()
     }
@@ -1154,7 +1176,7 @@ mod tests {
             .workers(2)
             .memory_mib(2048)
             .lease_timeout(SimDuration::from_secs(120))
-            .recovery_budget(5)
+            .recovery_budget(0)
             .starting_at(start)
             .connect()
             .unwrap();
@@ -1163,8 +1185,16 @@ mod tests {
         assert_eq!(lease.cores, 2);
         assert_eq!(lease.memory_mib, 2048);
         assert!(session.clock().now() >= start);
-        assert_eq!(session.raw().recovery_budget(), 5);
         assert!(session.cold_start().is_some());
+        // A zero recovery budget surfaces the lease expiry instead of
+        // transparently re-allocating.
+        session.clock().advance(SimDuration::from_secs(3600));
+        let echo = session.function::<[u8], [u8]>("echo").unwrap();
+        assert!(matches!(
+            echo.invoke(&[1u8; 8][..]),
+            Err(RFaasError::LeaseExpired(id)) if id == lease.id
+        ));
+        assert_eq!(session.recoveries(), 0);
         session.close().unwrap();
         assert_eq!(manager.lease_count(), 0);
     }
@@ -1233,6 +1263,69 @@ mod tests {
         // A larger invocation allocates a second pair.
         echo.invoke(&vec![3u8; 100_000][..]).unwrap();
         assert_eq!(session.pool.free.lock().len(), 2);
+    }
+
+    #[test]
+    fn ascending_payload_waves_keep_registrations_bounded() {
+        // Regression: a full pool used to drop released pairs without
+        // deregistering them and never traded a small pair for a larger one,
+        // so every wave of a larger payload registered fresh memory for good.
+        let (_f, _m, session) = platform(4);
+        let echo = session.function::<[u8], [u8]>("echo").unwrap();
+        let pd = &session.pool.allocator.pd;
+        let baseline = pd.region_count();
+        const IN_FLIGHT: usize = 8;
+        for wave in 0..40 {
+            let inputs: Vec<Vec<u8>> = (0..IN_FLIGHT)
+                .map(|i| vec![i as u8; 4096 + 1024 * wave])
+                .collect();
+            let results = echo
+                .map_workers(inputs.iter().map(|v| v.as_slice()))
+                .unwrap()
+                .wait_all()
+                .unwrap();
+            assert_eq!(results, inputs);
+            // Two regions per pair: the pooled pairs plus one scatter's worth.
+            let bound = baseline + 2 * (MAX_POOLED_PAIRS + IN_FLIGHT);
+            assert!(
+                pd.region_count() <= bound,
+                "wave {wave}: {} regions registered, bound {bound}",
+                pd.region_count()
+            );
+        }
+        assert_eq!(session.pool.free.lock().len(), MAX_POOLED_PAIRS);
+    }
+
+    #[test]
+    fn worker_counters_are_exact_as_soon_as_wait_returns() {
+        // Regression: the executor bumped `invocations`/`failed` only after
+        // posting the result, so a read right after `wait` could miss one.
+        let (_f, manager, session) = platform(1);
+        let echo = session.function::<[u8], [u8]>("echo").unwrap();
+        let fails = session.function::<[u8], [u8]>("always-fails").unwrap();
+        let process = manager
+            .executor("exec-0")
+            .unwrap()
+            .allocator()
+            .processes()
+            .pop()
+            .unwrap();
+        let (mut served, mut failed) = (0, 0);
+        for i in 0..1000u32 {
+            if i % 10 == 9 {
+                assert!(fails.invoke(&[1u8; 8][..]).is_err());
+                failed += 1;
+            } else {
+                echo.invoke(&i.to_le_bytes()[..]).unwrap();
+                served += 1;
+            }
+            let stats = process.lock().stats();
+            assert_eq!(
+                (stats.invocations, stats.failed),
+                (served, failed),
+                "after wait {i}"
+            );
+        }
     }
 
     /// Platform with a state plane attached: the package carries a stateful

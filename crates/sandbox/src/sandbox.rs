@@ -7,13 +7,12 @@
 //! this module provides the per-type cost breakdown that the rFaaS allocator
 //! charges when it creates an executor.
 
-use serde::{Deserialize, Serialize};
 use sim_core::SimDuration;
 
 use crate::registry::{CodePackage, ImageRegistry};
 
 /// The isolation technology wrapping an executor process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SandboxType {
     /// A plain Linux process pinned to the leased cores (trusted tenants).
     BareMetal,
@@ -44,7 +43,7 @@ impl SandboxType {
 }
 
 /// Cost model of one sandbox type.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SandboxProfile {
     /// Which sandbox technology this profile describes.
     pub sandbox_type: SandboxType,
@@ -123,7 +122,7 @@ impl SandboxProfile {
 
 /// Per-step breakdown of spawning a sandboxed executor, matching the stacked
 /// bars of Fig. 9 ("Spawn worker" is the dominant component).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SpawnBreakdown {
     /// Image pull (zero when the image is cached on the node).
     pub image_pull: SimDuration,
@@ -143,7 +142,7 @@ impl SpawnBreakdown {
 }
 
 /// Lifecycle state of a sandbox.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SandboxState {
     /// Being created (cold start in progress).
     Initializing,

@@ -618,8 +618,7 @@ fn run_adaptive_scenario(seed: u64) -> String {
         SandboxType::BareMetal,
         PollingMode::Adaptive,
     );
-    let invoker = session.raw();
-    let alloc = invoker.allocator();
+    let alloc = session.allocator();
     let input = alloc.input(4096);
     let output = alloc.output(4096);
 
@@ -628,8 +627,8 @@ fn run_adaptive_scenario(seed: u64) -> String {
         let payload = rng.range_u64(1, 2048) as usize;
         let data = workloads::generate_payload(payload, seed);
         input.write_payload(&data).unwrap();
-        let (_, rtt) = invoker
-            .invoke_sync("echo", &input, payload, &output)
+        let (_, rtt) = session
+            .invoke_raw("echo", &input, payload, &output)
             .unwrap();
         transcript.push_str(&format!(
             "round {round}: invoke {payload} B -> {} ns\n",
@@ -643,7 +642,7 @@ fn run_adaptive_scenario(seed: u64) -> String {
         } else {
             SimDuration::from_millis(rng.range_u64(100, 400))
         };
-        invoker.clock().advance(gap);
+        session.clock().advance(gap);
         transcript.push_str(&format!("gap {} ns\n", gap.as_nanos()));
     }
 
@@ -710,7 +709,8 @@ fn transcripts_match_their_pinned_digests() {
     // The byte-identical tests above compare two runs of one build; these
     // digests pin the transcripts themselves, so a refactor that changes
     // any placement, latency or billing figure fails here.
-    let scenarios: [(&str, fn(u64) -> String, u64); 7] = [
+    type Scenario = fn(u64) -> String;
+    let scenarios: [(&str, Scenario, u64); 7] = [
         ("run_scenario", run_scenario, 0x5e13_08ee_9173_162b),
         (
             "run_sharded_scenario",

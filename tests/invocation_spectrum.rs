@@ -10,26 +10,25 @@ use sim_core::{median, SimDuration};
 
 /// Median round-trip of `repetitions` echo invocations on a leased worker.
 ///
-/// Driven through `Session::raw()`: the spectrum pins the zero-copy path
+/// Driven through `Session::invoke_raw`: the spectrum pins the zero-copy path
 /// (pre-registered buffers, explicit payload lengths), which is exactly what
-/// the raw escape hatch exists for.
+/// that method exists for.
 fn leased_median_us(mode: PollingMode, payload: usize, repetitions: usize) -> f64 {
     let testbed = Testbed::new(1);
     let session = testbed.allocated_session("spectrum-client", 1, SandboxType::BareMetal, mode);
-    let invoker = session.raw();
-    let alloc = invoker.allocator();
+    let alloc = session.allocator();
     let input = alloc.input(payload.max(8));
     let output = alloc.output(payload.max(8));
     input
         .write_payload(&workloads::generate_payload(payload, 11))
         .unwrap();
-    invoker
-        .invoke_sync("echo", &input, payload, &output)
+    session
+        .invoke_raw("echo", &input, payload, &output)
         .unwrap();
     let samples: Vec<f64> = (0..repetitions)
         .map(|_| {
-            invoker
-                .invoke_sync("echo", &input, payload, &output)
+            session
+                .invoke_raw("echo", &input, payload, &output)
                 .unwrap()
                 .1
                 .as_micros_f64()
@@ -50,16 +49,15 @@ fn cold_median_us(payload: usize, repetitions: usize) -> f64 {
                 SandboxType::BareMetal,
                 PollingMode::Hot,
             );
-            let invoker = session.raw();
             let cold_start = session.cold_start().unwrap().total();
-            let alloc = invoker.allocator();
+            let alloc = session.allocator();
             let input = alloc.input(payload.max(8));
             let output = alloc.output(payload.max(8));
             input
                 .write_payload(&workloads::generate_payload(payload, 11))
                 .unwrap();
-            let (_, rtt) = invoker
-                .invoke_sync("echo", &input, payload, &output)
+            let (_, rtt) = session
+                .invoke_raw("echo", &input, payload, &output)
                 .unwrap();
             session.close().unwrap();
             (cold_start + rtt).as_micros_f64()
@@ -125,8 +123,7 @@ fn fork_tier_sits_between_warm_and_cold() {
         "forked setup {forked_setup} us vs cold {cold_setup} us"
     );
 
-    let invoker = session.raw();
-    let alloc = invoker.allocator();
+    let alloc = session.allocator();
     let input = alloc.input(64);
     let output = alloc.output(64);
     input
@@ -134,16 +131,16 @@ fn fork_tier_sits_between_warm_and_cold() {
         .unwrap();
     // Early invocations each pay one prefetch batch of page faults on top
     // of the warm path.
-    let first = invoker
-        .invoke_sync("echo", &input, 8, &output)
+    let first = session
+        .invoke_raw("echo", &input, 8, &output)
         .unwrap()
         .1
         .as_micros_f64();
     let mut rtts = vec![first];
     while !fork.is_complete() {
         rtts.push(
-            invoker
-                .invoke_sync("echo", &input, 8, &output)
+            session
+                .invoke_raw("echo", &input, 8, &output)
                 .unwrap()
                 .1
                 .as_micros_f64(),
@@ -151,8 +148,8 @@ fn fork_tier_sits_between_warm_and_cold() {
     }
     // Steady state: the faulted-in child matches the plain warm band.
     let warm = leased_median_us(PollingMode::Warm, 8, 30);
-    let steady = invoker
-        .invoke_sync("echo", &input, 8, &output)
+    let steady = session
+        .invoke_raw("echo", &input, 8, &output)
         .unwrap()
         .1
         .as_micros_f64();
@@ -196,15 +193,14 @@ fn hot_worker_demotes_to_warm_after_the_poll_timeout() {
         SandboxType::BareMetal,
         PollingMode::Hot,
     );
-    let invoker = session.raw();
-    let alloc = invoker.allocator();
+    let alloc = session.allocator();
     let input = alloc.input(64);
     let output = alloc.output(64);
     input.write_payload(&[7u8; 8]).unwrap();
 
     // Back-to-back invocations stay hot.
-    invoker.invoke_sync("echo", &input, 8, &output).unwrap();
-    let (_, hot_rtt) = invoker.invoke_sync("echo", &input, 8, &output).unwrap();
+    session.invoke_raw("echo", &input, 8, &output).unwrap();
+    let (_, hot_rtt) = session.invoke_raw("echo", &input, 8, &output).unwrap();
 
     let process = testbed.executors[0]
         .allocator()
@@ -216,8 +212,8 @@ fn hot_worker_demotes_to_warm_after_the_poll_timeout() {
 
     // One idle gap past the budget: the worker demotes, the polling bill is
     // capped at the budget, and the invocation pays the warm wake-up.
-    invoker.clock().advance(config.hot_poll_timeout * 3);
-    let (_, demoted_rtt) = invoker.invoke_sync("echo", &input, 8, &output).unwrap();
+    session.clock().advance(config.hot_poll_timeout * 3);
+    let (_, demoted_rtt) = session.invoke_raw("echo", &input, 8, &output).unwrap();
     {
         let process = process.lock();
         assert_eq!(process.workers()[0].mode(), PollingMode::Warm);
@@ -240,8 +236,8 @@ fn hot_worker_demotes_to_warm_after_the_poll_timeout() {
     // above hot, far below cold.
     let warm_samples: Vec<f64> = (0..30)
         .map(|_| {
-            invoker
-                .invoke_sync("echo", &input, 8, &output)
+            session
+                .invoke_raw("echo", &input, 8, &output)
                 .unwrap()
                 .1
                 .as_micros_f64()
@@ -269,14 +265,13 @@ fn adaptive_workers_bill_at_most_the_budget_per_idle_gap() {
         SandboxType::BareMetal,
         PollingMode::Adaptive,
     );
-    let invoker = session.raw();
-    let alloc = invoker.allocator();
+    let alloc = session.allocator();
     let input = alloc.input(64);
     let output = alloc.output(64);
     input.write_payload(&[7u8; 8]).unwrap();
-    invoker.invoke_sync("echo", &input, 8, &output).unwrap();
-    invoker.clock().advance(SimDuration::from_secs(30));
-    invoker.invoke_sync("echo", &input, 8, &output).unwrap();
+    session.invoke_raw("echo", &input, 8, &output).unwrap();
+    session.clock().advance(SimDuration::from_secs(30));
+    session.invoke_raw("echo", &input, 8, &output).unwrap();
     let process = testbed.executors[0].allocator().processes().pop().unwrap();
     let process = process.lock();
     assert_eq!(process.workers()[0].mode(), PollingMode::Adaptive);
@@ -297,14 +292,13 @@ fn disabling_the_timeout_keeps_workers_hot_forever() {
     let testbed = Testbed::with_config(1, config);
     let session =
         testbed.allocated_session("no-demotion", 1, SandboxType::BareMetal, PollingMode::Hot);
-    let invoker = session.raw();
-    let alloc = invoker.allocator();
+    let alloc = session.allocator();
     let input = alloc.input(64);
     let output = alloc.output(64);
     input.write_payload(&[7u8; 8]).unwrap();
-    invoker.invoke_sync("echo", &input, 8, &output).unwrap();
-    invoker.clock().advance(SimDuration::from_secs(30));
-    invoker.invoke_sync("echo", &input, 8, &output).unwrap();
+    session.invoke_raw("echo", &input, 8, &output).unwrap();
+    session.clock().advance(SimDuration::from_secs(30));
+    session.invoke_raw("echo", &input, 8, &output).unwrap();
     let process = testbed.executors[0].allocator().processes().pop().unwrap();
     let process = process.lock();
     assert_eq!(process.workers()[0].mode(), PollingMode::Hot);
