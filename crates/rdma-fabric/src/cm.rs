@@ -90,19 +90,6 @@ impl Listener {
         self.finish_accept(endpoint, request)
     }
 
-    /// Accept with a wall-clock timeout, returning `Ok(None)` on timeout.
-    pub fn accept_timeout(
-        &self,
-        endpoint: &Endpoint,
-        timeout: Duration,
-    ) -> Result<Option<QueuePair>> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(request) => self.finish_accept(endpoint, request).map(Some),
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err(FabricError::ConnectionLost),
-        }
-    }
-
     /// Non-blocking accept: returns `Ok(None)` when no request is pending.
     pub fn try_accept(&self, endpoint: &Endpoint) -> Result<Option<QueuePair>> {
         match self.rx.try_recv() {
@@ -453,18 +440,6 @@ mod tests {
         let listener = Listener::bind(&fabric, "server:2");
         let ep = Endpoint::new(&fabric, &node);
         assert!(listener.try_accept(&ep).unwrap().is_none());
-    }
-
-    #[test]
-    fn accept_timeout_expires() {
-        let fabric = Fabric::with_defaults();
-        let node = fabric.add_node("server");
-        let listener = Listener::bind(&fabric, "server:3");
-        let ep = Endpoint::new(&fabric, &node);
-        let got = listener
-            .accept_timeout(&ep, Duration::from_millis(20))
-            .unwrap();
-        assert!(got.is_none());
     }
 
     #[test]

@@ -1,12 +1,16 @@
 //! Completion queues.
 //!
 //! A completion queue (CQ) collects work completions from one or more queue
-//! pairs. Consumers can either *busy poll* it — the mechanism behind rFaaS
-//! *hot* invocations — or block until a completion arrives — the mechanism
-//! behind *warm* invocations. Busy polling costs CPU but observes the
-//! completion almost immediately; blocking waits release the CPU but pay the
-//! interrupt/wake-up latency and contend on the node's shared notification
-//! channel.
+//! pairs. A consumer picks each completion up under one of two cost models:
+//! *busy polling* — the mechanism behind rFaaS *hot* invocations — observes
+//! it almost immediately ([`CompletionQueue::poll_one`],
+//! [`CompletionQueue::charge_poll_pickup`]), while a *blocking* pickup — the
+//! mechanism behind *warm* invocations — pays the interrupt/wake-up latency
+//! and contends on the node's shared notification channel
+//! ([`CompletionQueue::blocking_wait_timeout`],
+//! [`CompletionQueue::charge_blocking_pickup`]). Event loops serving many
+//! queues drain them uncharged through a [`CqSet`] and bill each completion
+//! under its consumer's model.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -18,16 +22,6 @@ use sim_core::{SimDuration, SimTime, VirtualClock};
 use crate::device::{DeviceFunction, NicProfile};
 use crate::fabric::FabricNode;
 use crate::verbs::WorkCompletion;
-
-/// How a consumer observes completions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WaitMode {
-    /// Spin on the CQ; lowest latency, occupies the CPU (hot invocations).
-    BusyPoll,
-    /// Sleep until the completion event fires; frees the CPU but pays the
-    /// wake-up cost (warm invocations).
-    Blocking,
-}
 
 #[derive(Debug, Default)]
 struct CqState {
@@ -173,19 +167,11 @@ impl CompletionQueue {
     /// virtual work.
     pub fn poll(&self, max: usize) -> Vec<WorkCompletion> {
         let mut drained = Vec::new();
-        self.poll_into(max, &mut drained);
-        drained
-    }
-
-    /// Like [`CompletionQueue::poll`], but drains into a caller-owned scratch
-    /// buffer so the hot loop performs no steady-state allocations. Appends at
-    /// most `max` completions to `out` and returns how many were appended.
-    pub fn poll_into(&self, max: usize, out: &mut Vec<WorkCompletion>) -> usize {
-        let n = self.poll_uncharged_into(max, out);
-        for wc in &out[out.len() - n..] {
+        self.poll_uncharged_into(max, &mut drained);
+        for wc in &drained {
             self.charge_poll_pickup(wc);
         }
-        n
+        drained
     }
 
     /// Drain up to `max` completions into `out` **without** touching the
@@ -218,41 +204,12 @@ impl CompletionQueue {
         self.inner.clock.advance_to_then(wc.timestamp, pickup);
     }
 
-    /// Busy-poll until a completion arrives (hot path). Returns `None` if the
-    /// CQ is disconnected while waiting.
-    pub fn busy_wait(&self) -> Option<WorkCompletion> {
-        loop {
-            if let Some(wc) = self.poll_one() {
-                return Some(wc);
-            }
-            if self.inner.state.lock().disconnected {
-                return None;
-            }
-            std::hint::spin_loop();
-            std::thread::yield_now();
-        }
-    }
-
-    /// Block until a completion arrives (warm path). Charges the blocking
-    /// wake-up latency and the per-node notification serialisation. Returns
-    /// `None` if the CQ is disconnected while waiting.
-    pub fn blocking_wait(&self) -> Option<WorkCompletion> {
-        let mut state = self.inner.state.lock();
-        loop {
-            if let Some(wc) = state.completions.pop_front() {
-                drop(state);
-                return Some(self.charge_blocking_pickup(wc));
-            }
-            if state.disconnected {
-                return None;
-            }
-            self.inner.available.wait(&mut state);
-        }
-    }
-
-    /// Block until a completion arrives or the real-time timeout expires.
-    /// The timeout is wall-clock (it bounds test execution time); the virtual
-    /// cost model is identical to [`CompletionQueue::blocking_wait`].
+    /// Block until a completion arrives (warm path) or the real-time timeout
+    /// expires. Charges the blocking wake-up latency and the per-node
+    /// notification serialisation ([`CompletionQueue::charge_blocking_pickup`]).
+    /// Returns `None` on timeout or if the CQ is disconnected while waiting.
+    /// The timeout is wall-clock (it bounds test execution time), never
+    /// virtual time.
     pub fn blocking_wait_timeout(&self, timeout: Duration) -> Option<WorkCompletion> {
         // simlint::allow(wall_clock, reason = "host-side wait bound so tests cannot hang; completions are billed in virtual time on pickup")
         let deadline = std::time::Instant::now() + timeout;
@@ -284,20 +241,12 @@ impl CompletionQueue {
         }
     }
 
-    /// Wait with the requested mode.
-    pub fn wait(&self, mode: WaitMode) -> Option<WorkCompletion> {
-        match mode {
-            WaitMode::BusyPoll => self.busy_wait(),
-            WaitMode::Blocking => self.blocking_wait(),
-        }
-    }
-
     /// Synchronise the consumer clock to a completion observed via a blocking
     /// wait: the notification serialises through the node's shared event
     /// channel and the consumer pays the wake-up latency. Public so a
     /// multiplexed event loop draining uncharged (see
     /// [`CompletionQueue::poll_uncharged_into`]) can bill a blocked consumer
-    /// exactly as [`CompletionQueue::blocking_wait`] would have.
+    /// exactly as [`CompletionQueue::blocking_wait_timeout`] would have.
     pub fn charge_blocking_pickup(&self, wc: WorkCompletion) -> WorkCompletion {
         // Serialise the notification through the node's shared event channel:
         // concurrent blocking waiters on one node queue behind each other.
@@ -441,6 +390,10 @@ mod tests {
     use crate::verbs::{CompletionStatus, OpCode};
     use std::thread;
 
+    /// Wall-clock bound for blocking waits in tests: long enough never to
+    /// fire on a loaded machine, short enough that a lost wakeup fails fast.
+    const WAIT: Duration = Duration::from_secs(5);
+
     fn make_cq(mode_function: DeviceFunction) -> (CompletionQueue, Arc<VirtualClock>) {
         let fabric = Fabric::new(NicProfile::default());
         let node = fabric.add_node("n0");
@@ -488,7 +441,7 @@ mod tests {
     fn blocking_wait_charges_wakeup_latency() {
         let (cq, clock) = make_cq(DeviceFunction::Physical);
         cq.push(completion_at(10));
-        let wc = cq.blocking_wait().unwrap();
+        let wc = cq.blocking_wait_timeout(WAIT).unwrap();
         assert!(wc.is_success());
         // arrival 10us + dispatch 550ns + wakeup 3800ns + pickup 65ns
         assert_eq!(clock.now().as_nanos(), 10_000 + 550 + 3_800 + 65);
@@ -500,8 +453,8 @@ mod tests {
         let (virt, virt_clock) = make_cq(DeviceFunction::Virtual);
         phys.push(completion_at(1));
         virt.push(completion_at(1));
-        phys.blocking_wait().unwrap();
-        virt.blocking_wait().unwrap();
+        phys.blocking_wait_timeout(WAIT).unwrap();
+        virt.blocking_wait_timeout(WAIT).unwrap();
         assert!(virt_clock.now() > phys_clock.now());
         let delta = virt_clock.now().as_nanos() - phys_clock.now().as_nanos();
         // 600 ns vf blocking extra + 25 ns message overhead tolerance window.
@@ -512,7 +465,7 @@ mod tests {
     fn blocking_wait_wakes_on_push_from_other_thread() {
         let (cq, _clock) = make_cq(DeviceFunction::Physical);
         let cq2 = cq.clone();
-        let handle = thread::spawn(move || cq2.blocking_wait());
+        let handle = thread::spawn(move || cq2.blocking_wait_timeout(WAIT));
         thread::sleep(Duration::from_millis(20));
         cq.push(completion_at(5));
         let wc = handle.join().unwrap().unwrap();
@@ -520,25 +473,15 @@ mod tests {
     }
 
     #[test]
-    fn busy_wait_picks_up_pushed_completion() {
-        let (cq, _clock) = make_cq(DeviceFunction::Physical);
-        let cq2 = cq.clone();
-        let handle = thread::spawn(move || cq2.busy_wait());
-        thread::sleep(Duration::from_millis(10));
-        cq.push(completion_at(2));
-        assert!(handle.join().unwrap().is_some());
-    }
-
-    #[test]
     fn disconnect_wakes_blocked_waiters_with_none() {
         let (cq, _clock) = make_cq(DeviceFunction::Physical);
         let cq2 = cq.clone();
-        let handle = thread::spawn(move || cq2.blocking_wait());
+        let handle = thread::spawn(move || cq2.blocking_wait_timeout(WAIT));
         thread::sleep(Duration::from_millis(10));
         cq.disconnect();
         assert!(handle.join().unwrap().is_none());
-        // Busy wait also observes the disconnect.
-        assert!(cq.busy_wait().is_none());
+        // A later wait observes the disconnect too.
+        assert!(cq.blocking_wait_timeout(WAIT).is_none());
     }
 
     #[test]
@@ -575,8 +518,8 @@ mod tests {
         );
         cq1.push(completion_at(10));
         cq2.push(completion_at(10));
-        cq1.blocking_wait().unwrap();
-        cq2.blocking_wait().unwrap();
+        cq1.blocking_wait_timeout(WAIT).unwrap();
+        cq2.blocking_wait_timeout(WAIT).unwrap();
         let t1 = c1.now().as_nanos();
         let t2 = c2.now().as_nanos();
         assert_ne!(t1, t2, "notifications must serialise");
@@ -592,29 +535,6 @@ mod tests {
         assert_eq!(cq.pending(), 2);
         cq.poll(1);
         assert_eq!(cq.pending(), 1);
-    }
-
-    #[test]
-    fn poll_into_reuses_scratch_without_steady_state_allocations() {
-        let (cq, clock) = make_cq(DeviceFunction::Physical);
-        let mut scratch: Vec<WorkCompletion> = Vec::with_capacity(8);
-        // Warm-up round sizes the buffer; every later round must reuse it.
-        for round in 0..64_u64 {
-            for i in 0..4 {
-                cq.push(completion_at(round * 10 + i));
-            }
-            scratch.clear();
-            let before = scratch.capacity();
-            let n = cq.poll_into(8, &mut scratch);
-            assert_eq!(n, 4);
-            assert_eq!(scratch.len(), 4);
-            assert_eq!(
-                scratch.capacity(),
-                before,
-                "steady-state drain must not reallocate"
-            );
-        }
-        assert!(clock.now() > SimTime::ZERO);
     }
 
     #[test]

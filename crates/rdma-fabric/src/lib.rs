@@ -54,7 +54,7 @@ pub mod verbs;
 pub use cm::{
     connect, connect_pooled, connect_with_timeout, DatagramMessage, DatagramSocket, Listener,
 };
-pub use cq::{CompletionQueue, CqNotifier, CqSet, WaitMode};
+pub use cq::{CompletionQueue, CqNotifier, CqSet};
 pub use device::{DeviceFunction, NicProfile};
 pub use error::{FabricError, Result};
 pub use fabric::{Fabric, FabricNode, TransferTiming};

@@ -14,11 +14,11 @@
 //!   interleaving of post/consume/repost may lose a slot, delivery is FIFO
 //!   in post order, and delivery into an empty ring is rejected.
 //! * [`ReceiveRing`] — the live wrapper that registers one slab of memory,
-//!   posts one receive per slot on a [`QueuePair`], and (by default)
-//!   re-posts a slot automatically as soon as its completion is picked up —
-//!   correct whenever the slot is a pure doorbell, which is what rFaaS uses
-//!   it for (payloads travel one-sided into registered buffers, not into the
-//!   ring slots).
+//!   posts one receive per slot on a [`QueuePair`] (or a shared receive
+//!   queue), and re-posts a slot automatically as soon as its completion is
+//!   picked up — correct because the slot is a pure doorbell, which is what
+//!   rFaaS uses it for (payloads travel one-sided into registered buffers,
+//!   not into the ring slots).
 
 use std::collections::VecDeque;
 
@@ -134,10 +134,10 @@ pub struct RingCompletion {
 ///
 /// One slab of registered memory holds `depth` slots of `slot_len` bytes;
 /// one receive work request per slot is posted with `wr_id == slot`. Pickup
-/// helpers mirror the completion-queue API (busy poll, blocking with
-/// timeout) and — in the default automatic mode — repost the consumed slot
-/// before handing the completion to the caller, so the ring never drains as
-/// long as at most `depth` messages are in flight.
+/// ([`ReceiveRing::poll_one`], or [`ReceiveRing::adopt`] for completions
+/// drained elsewhere) re-posts the consumed slot before handing the
+/// completion to the caller, so the ring never drains as long as at most
+/// `depth` messages are in flight.
 #[derive(Debug)]
 pub struct ReceiveRing {
     backing: RingBacking,
@@ -147,7 +147,6 @@ pub struct ReceiveRing {
     /// hot-path callers (per-submission overflow checks, adopt) read it
     /// lock-free.
     depth: usize,
-    auto_repost: bool,
     state: Mutex<RingState>,
 }
 
@@ -168,24 +167,6 @@ impl ReceiveRing {
             qp.pd().clone(),
             depth,
             slot_len,
-            true,
-        )
-    }
-
-    /// Same ring, but the caller re-posts slots explicitly with
-    /// [`ReceiveRing::repost`] — needed when slot contents (two-sided SENDs)
-    /// must be read before the slot may be overwritten.
-    pub fn with_manual_repost(
-        qp: &QueuePair,
-        depth: usize,
-        slot_len: usize,
-    ) -> Result<ReceiveRing> {
-        Self::build(
-            RingBacking::Qp(qp.clone()),
-            qp.pd().clone(),
-            depth,
-            slot_len,
-            false,
         )
     }
 
@@ -207,7 +188,6 @@ impl ReceiveRing {
             endpoint.pd.clone(),
             depth,
             slot_len,
-            true,
         )
     }
 
@@ -216,7 +196,6 @@ impl ReceiveRing {
         pd: crate::pd::ProtectionDomain,
         depth: usize,
         slot_len: usize,
-        auto_repost: bool,
     ) -> Result<ReceiveRing> {
         if depth == 0 {
             return Err(FabricError::DeviceLimitExceeded {
@@ -229,7 +208,6 @@ impl ReceiveRing {
             region,
             slot_len: slot_len.max(1),
             depth,
-            auto_repost,
             state: Mutex::new(RingState::new(depth)),
         };
         for slot in 0..depth {
@@ -262,13 +240,8 @@ impl ReceiveRing {
         self.state.lock().posted()
     }
 
-    /// Bytes currently stored in `slot` (meaningful after a two-sided SEND).
-    pub fn slot_bytes(&self, slot: usize) -> Result<Vec<u8>> {
-        self.region.read(slot * self.slot_len, self.slot_len)
-    }
-
-    /// Map a raw completion onto the ring: consume the slot it landed in and,
-    /// in automatic mode, immediately re-post it.
+    /// Map a raw completion onto the ring: consume the slot it landed in and
+    /// immediately re-post it.
     ///
     /// Total by design — a completion the completion queue already handed
     /// over must never be dropped. Completions whose `wr_id` does not name a
@@ -314,12 +287,10 @@ impl ReceiveRing {
             // The buffer is free again: return the consuming QP's credit.
             srq.release(wc.qp_num);
         }
-        if self.auto_repost {
-            // A failed re-post only happens on a disconnected QP, where the
-            // next wait returns None anyway; the completion in hand is
-            // still delivered to the caller.
-            let _ = self.repost(slot_id);
-        }
+        // A failed re-post only happens on a disconnected QP, where the next
+        // poll finds nothing anyway; the completion in hand is still
+        // delivered to the caller.
+        let _ = self.repost(slot_id);
         RingCompletion {
             slot: Some(slot_id),
             wc,
@@ -331,7 +302,7 @@ impl ReceiveRing {
     /// Receives posted *outside* the ring on the same queue pair must use
     /// `wr_id`s at or above the ring depth (`u64::MAX` is conventional), or
     /// their completions are indistinguishable from slot deliveries.
-    pub fn repost(&self, slot: usize) -> Result<()> {
+    fn repost(&self, slot: usize) -> Result<()> {
         self.state.lock().repost(slot)?;
         self.post_slot(slot)
     }
@@ -349,23 +320,6 @@ impl ReceiveRing {
     /// drain the attached QPs' CQs and call [`ReceiveRing::adopt`] instead.
     pub fn poll_one(&self) -> Option<RingCompletion> {
         let wc = self.backing_qp()?.recv_cq().poll_one()?;
-        Some(self.adopt(wc))
-    }
-
-    /// Busy-poll until a completion arrives (hot path). `None` when the
-    /// queue pair disconnects while waiting, or on an SRQ-backed ring.
-    pub fn busy_wait(&self) -> Option<RingCompletion> {
-        let wc = self.backing_qp()?.recv_cq().busy_wait()?;
-        Some(self.adopt(wc))
-    }
-
-    /// Block until a completion arrives or the wall-clock timeout expires
-    /// (warm path; the virtual wake-up cost is charged by the CQ).
-    pub fn blocking_wait_timeout(&self, timeout: std::time::Duration) -> Option<RingCompletion> {
-        let wc = self
-            .backing_qp()?
-            .recv_cq()
-            .blocking_wait_timeout(timeout)?;
         Some(self.adopt(wc))
     }
 }
@@ -445,31 +399,11 @@ mod tests {
         // Many more messages than the depth: every pickup re-posts its slot.
         for i in 0..10u32 {
             write_with_imm(&client, &server, i).unwrap();
-            let c = ring.busy_wait().unwrap();
+            let c = ring.poll_one().unwrap();
             assert_eq!(c.wc.imm, Some(i));
             assert!(c.slot.is_some());
             assert_eq!(ring.posted_slots(), 2);
         }
-    }
-
-    #[test]
-    fn manual_ring_drains_without_repost_and_rejects_overflow() {
-        let (client, server) = connected_pair();
-        let ring = ReceiveRing::with_manual_repost(&server, 2, 8).unwrap();
-        write_with_imm(&client, &server, 1).unwrap();
-        write_with_imm(&client, &server, 2).unwrap();
-        let first = ring.poll_one().unwrap();
-        let second = ring.poll_one().unwrap();
-        assert_eq!(ring.posted_slots(), 0);
-        // The transport itself now rejects further writes: ring empty.
-        assert_eq!(
-            write_with_imm(&client, &server, 3).unwrap_err(),
-            FabricError::ReceiverNotReady
-        );
-        ring.repost(first.slot.unwrap()).unwrap();
-        ring.repost(second.slot.unwrap()).unwrap();
-        write_with_imm(&client, &server, 3).unwrap();
-        assert_eq!(ring.poll_one().unwrap().wc.imm, Some(3));
     }
 
     #[test]
@@ -489,9 +423,9 @@ mod tests {
         write_with_imm(&client, &server, 1).unwrap();
         write_with_imm(&client, &server, 2).unwrap();
         write_with_imm(&client, &server, 3).unwrap();
-        assert_eq!(ring.busy_wait().unwrap().slot, Some(0));
-        assert_eq!(ring.busy_wait().unwrap().slot, Some(1));
-        let foreign = ring.busy_wait().unwrap();
+        assert_eq!(ring.poll_one().unwrap().slot, Some(0));
+        assert_eq!(ring.poll_one().unwrap().slot, Some(1));
+        let foreign = ring.poll_one().unwrap();
         assert_eq!(foreign.slot, None);
         assert_eq!(foreign.wc.imm, Some(3));
         // The ring slots were auto-reposted; the foreign receive was not.
@@ -501,28 +435,33 @@ mod tests {
     #[test]
     fn colliding_foreign_wr_id_passes_through_instead_of_corrupting_the_ring() {
         let (client, server) = connected_pair();
-        let ring = ReceiveRing::with_manual_repost(&server, 1, 8).unwrap();
-        write_with_imm(&client, &server, 1).unwrap();
-        let first = ring.poll_one().unwrap();
-        assert_eq!(first.slot, Some(0));
+        let ring = ReceiveRing::new(&server, 2, 8).unwrap();
         // A caller violating the wr_id contract: a foreign receive whose
-        // wr_id collides with slot 0 while the ring is drained. The
-        // completion must still reach the caller (as foreign), not vanish.
+        // wr_id collides with slot 1, queued behind both ring slots.
         let extra = server.pd().register(8, AccessFlags::LOCAL_ONLY);
         server
             .post_recv(RecvRequest {
-                wr_id: 0,
+                wr_id: 1,
                 local: Sge::whole(&extra),
             })
             .unwrap();
+        write_with_imm(&client, &server, 1).unwrap();
+        write_with_imm(&client, &server, 2).unwrap();
+        assert_eq!(ring.poll_one().unwrap().slot, Some(0));
+        assert_eq!(ring.poll_one().unwrap().slot, Some(1));
+        // Both slots were re-posted behind the foreign receive, so the next
+        // delivery consumes it while slot 0 is the ring's front. The
+        // completion must still reach the caller (as foreign), not vanish
+        // or be mistaken for slot 1.
         write_with_imm(&client, &server, 9).unwrap();
         let colliding = ring.poll_one().unwrap();
-        assert_eq!(colliding.slot, None, "drained ring cannot own this wr_id");
+        assert_eq!(colliding.slot, None, "slot 1 is not at the front");
         assert_eq!(colliding.wc.imm, Some(9));
-        // The ring state is untouched and reposting still works.
-        assert_eq!(ring.posted_slots(), 0);
-        ring.repost(0).unwrap();
-        assert_eq!(ring.posted_slots(), 1);
+        // The ring state is untouched: both slots stay posted and deliver
+        // in order.
+        assert_eq!(ring.posted_slots(), 2);
+        write_with_imm(&client, &server, 10).unwrap();
+        assert_eq!(ring.poll_one().unwrap().slot, Some(0));
     }
 
     #[test]
@@ -635,28 +574,6 @@ mod tests {
             })
             .unwrap_err();
         assert!(matches!(err, FabricError::UnsupportedOperation(_)));
-    }
-
-    #[test]
-    fn slot_bytes_expose_sent_data() {
-        let (client, server) = connected_pair();
-        let ring = ReceiveRing::with_manual_repost(&server, 1, 16).unwrap();
-        let src = client
-            .pd()
-            .register_from(b"ring-slot".to_vec(), AccessFlags::LOCAL_ONLY);
-        client
-            .post_send(
-                1,
-                SendRequest::Send {
-                    local: Sge::whole(&src),
-                },
-                false,
-            )
-            .unwrap();
-        let c = ring.busy_wait().unwrap();
-        let slot = c.slot.unwrap();
-        assert_eq!(&ring.slot_bytes(slot).unwrap()[..9], b"ring-slot");
-        ring.repost(slot).unwrap();
     }
 
     proptest::proptest! {

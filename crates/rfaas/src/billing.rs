@@ -6,8 +6,11 @@
 //! with RDMA fetch-and-add operations into a global database owned by the
 //! resource manager, so that lightweight allocators never need an RPC to
 //! report usage — and this module does exactly that over the software fabric:
-//! every lease owns a 3-word slot in the manager's registered billing region,
-//! and executors flush usage with remote atomics.
+//! every executor registration reserves a 3-word slot in the manager's
+//! registered billing region, and the executor flushes the usage of every
+//! lease it hosts into that slot with remote atomics. A lease's usage
+//! (`ResourceManager::lease_usage`) is therefore the cumulative usage of the
+//! executor hosting it.
 
 use rdma_fabric::{
     AccessFlags, Endpoint, MemoryRegion, QueuePair, RemoteMemoryHandle, SendRequest, Sge,
@@ -20,10 +23,11 @@ use crate::error::Result;
 
 /// Number of 8-byte words per billing slot: allocation, compute, hot-poll.
 const WORDS_PER_SLOT: usize = 3;
-/// Maximum number of leases the billing database can account simultaneously.
+/// Maximum number of executor registrations the billing database can account
+/// simultaneously.
 pub const BILLING_SLOTS: usize = 4096;
 
-/// Usage accumulated by one executor on behalf of one lease, in microseconds
+/// Usage accumulated by one executor across the leases it hosts, in microseconds
 /// of virtual time (allocation time is additionally weighted by GiB).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UsageRecord {
@@ -58,7 +62,7 @@ impl UsageRecord {
 }
 
 /// The manager-side billing database: a registered memory region of
-/// per-lease counters updated by remote atomics, so reads never race with
+/// per-executor counters updated by remote atomics, so reads never race with
 /// executor updates.
 #[derive(Debug)]
 pub struct BillingDatabase {
@@ -78,8 +82,9 @@ impl BillingDatabase {
         }
     }
 
-    /// Reserve a slot for a new lease. Slots are recycled only when the
-    /// database wraps, which is fine for the simulated horizons.
+    /// Reserve a slot for a newly registered executor. Slots are recycled
+    /// only when the database wraps, which is fine for the simulated
+    /// horizons.
     pub fn reserve_slot(&self) -> usize {
         let mut next = self.next_slot.lock();
         let slot = *next % BILLING_SLOTS;

@@ -1,36 +1,39 @@
-//! The rFaaS client library: invoker, RDMA buffers and invocation futures.
+//! The rFaaS client transport: RDMA buffers, worker connections and
+//! invocation futures.
 //!
 //! This is the Rust equivalent of the paper's C++ programming model
-//! (Sec. IV-B, Fig. 7, Listing 2): a crate-private `Invoker` acquires
-//! leases, connects directly to the executor workers, and submits function
-//! invocations by writing the header and payload straight into the workers'
-//! registered memory. Results land directly in client-side [`Buffer`]s
-//! written remotely by the executor. Applications reach all of this through
-//! [`crate::Session`], which owns the invoker.
+//! (Sec. IV-B, Fig. 7, Listing 2). [`crate::Session`] plays the
+//! `rfaas::invoker`: it acquires leases, connects directly to the executor
+//! workers, and submits function invocations by writing the header and
+//! payload straight into the workers' registered memory. Results land
+//! directly in client-side [`Buffer`]s written remotely by the executor. The
+//! session's public surface lives in [`crate::session`]; this module holds
+//! its transport internals (allocation, worker connections, posting and
+//! transparent recovery) as further `impl Session` blocks.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use rdma_fabric::{
-    connect_pooled, AccessFlags, ConnectionPool, DatagramSocket, Endpoint, Fabric, MemoryRegion,
-    ProtectionDomain, QueuePair, ReceiveRing, RecvRequest, RemoteMemoryHandle, SendRequest, Sge,
+    connect_pooled, AccessFlags, DatagramSocket, Endpoint, MemoryRegion, ProtectionDomain,
+    QueuePair, ReceiveRing, RecvRequest, RemoteMemoryHandle, SendRequest, Sge,
 };
 use sandbox::CodePackage;
 use sim_core::sync::{ranks, OrderedMutex};
-use sim_core::{SimDuration, SimTime, VirtualClock};
-use state_plane::{StateClient, StateClientStats, StatePlane, StateSpec};
+use sim_core::SimDuration;
+use state_plane::StateSpec;
 
 use crate::codec::Codec;
-use crate::config::{PollingMode, RFaasConfig};
+use crate::config::PollingMode;
 use crate::error::{RFaasError, Result};
-use crate::executor::{AllocationPolicy, ForkFaultState, SpotExecutor};
-use crate::manager::ResourceManager;
+use crate::executor::SpotExecutor;
 use crate::protocol::{
     ControlFrame, ImmValue, InvocationHeader, Lease, LeaseRequest, ResultStatus,
     INVOCATION_HEADER_BYTES,
 };
-use crate::reactor::{CompletionSource, Reactor};
+use crate::reactor::CompletionSource;
+use crate::session::Session;
 
 /// A registered, page-aligned client buffer.
 ///
@@ -89,25 +92,6 @@ impl Buffer {
             .map_err(RFaasError::from)
     }
 
-    /// Fill the payload with an `f64` slice (the element type of every HPC
-    /// workload in the paper's evaluation).
-    pub fn write_f64(&self, values: &[f64]) -> Result<usize> {
-        let mut bytes = Vec::with_capacity(values.len() * 8);
-        for v in values {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
-        self.write_payload(&bytes)
-    }
-
-    /// Interpret `len_bytes` of payload as an `f64` slice.
-    pub fn read_f64(&self, len_bytes: usize) -> Result<Vec<f64>> {
-        let bytes = self.read_payload(len_bytes)?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-            .collect())
-    }
-
     /// Encode `value` into the payload area through its [`Codec`], returning
     /// the payload length (the typed equivalent of [`Buffer::write_payload`]).
     pub fn write_encoded<C: Codec + ?Sized>(&self, value: &C) -> Result<usize> {
@@ -135,7 +119,7 @@ impl Buffer {
     }
 }
 
-/// Allocates RDMA-registered buffers from the invoker's protection domain
+/// Allocates RDMA-registered buffers from the session's protection domain
 /// (the `rfaas::allocator` of Listing 2).
 #[derive(Debug, Clone)]
 pub struct BufferAllocator {
@@ -192,12 +176,12 @@ impl ColdStartBreakdown {
     }
 }
 
-/// Connection-plane counters of one invoker/session: how many worker
-/// connections were physically established, how the warmth pool performed,
-/// and how deep the executor side reached into its shared receive queue.
+/// Connection-plane counters of one session: how many worker connections
+/// were physically established, how the warmth pool performed, and how deep
+/// the executor side reached into its shared receive queue.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConnectionPlaneStats {
-    /// Worker RC connections established over the invoker's lifetime.
+    /// Worker RC connections established over the session's lifetime.
     pub connections_opened: u64,
     /// Connects that redeemed a pool warmth token (warm re-establishment).
     pub pool_hits: u64,
@@ -208,7 +192,16 @@ pub struct ConnectionPlaneStats {
     pub srq_depth_high_watermark: usize,
 }
 
-struct WorkerConnection {
+/// Results pumped off one connection's ring, keyed by invocation id, plus the
+/// ids whose futures were dropped without a wait: their results are
+/// discarded on arrival so the in-flight reservation comes back.
+#[derive(Default)]
+struct ResultStash {
+    results: HashMap<u32, (usize, ResultStatus)>,
+    abandoned: HashSet<u32>,
+}
+
+pub(crate) struct WorkerConnection {
     qp: QueuePair,
     remote_input: RemoteMemoryHandle,
     /// Pre-posted result-notification slots, re-posted automatically as
@@ -219,9 +212,9 @@ struct WorkerConnection {
     /// flight than the ring holds slots.
     overflow_scratch: MemoryRegion,
     outstanding: AtomicUsize,
-    completed: OrderedMutex<HashMap<u32, (usize, ResultStatus)>>,
-    /// Token under which this connection is registered with the invoker's
-    /// [`Reactor`] (set right after registration, before any submission).
+    completed: OrderedMutex<ResultStash>,
+    /// Token under which this connection is registered with the session's
+    /// reactor (set right after registration, before any submission).
     reactor_token: AtomicU64,
     index: usize,
 }
@@ -229,14 +222,25 @@ struct WorkerConnection {
 impl WorkerConnection {
     /// Whether a result for `invocation_id` is already stashed.
     fn has_result(&self, invocation_id: u32) -> bool {
-        self.completed.lock().contains_key(&invocation_id)
+        self.completed.lock().results.contains_key(&invocation_id)
     }
 
     /// Remove a stashed result, returning the in-flight reservation with it.
     fn take_result(&self, invocation_id: u32) -> Option<(usize, ResultStatus)> {
-        let result = self.completed.lock().remove(&invocation_id)?;
+        let result = self.completed.lock().results.remove(&invocation_id)?;
         self.outstanding.fetch_sub(1, Ordering::Relaxed);
         Some(result)
+    }
+
+    /// Give up on `invocation_id`: a stashed result is discarded now, a
+    /// pending one when it arrives; either way the reservation comes back.
+    fn abandon(&self, invocation_id: u32) {
+        let mut stash = self.completed.lock();
+        if stash.results.remove(&invocation_id).is_some() {
+            self.outstanding.fetch_sub(1, Ordering::Relaxed);
+        } else {
+            stash.abandoned.insert(invocation_id);
+        }
     }
 
     fn token(&self) -> u64 {
@@ -245,15 +249,22 @@ impl WorkerConnection {
 }
 
 impl CompletionSource for WorkerConnection {
-    /// Drain the receive ring into the result stash, reporting each newly
-    /// stashed invocation id. `ring.poll_one` charges the busy-poll pickup on
-    /// the client clock per completion — the reactor sweep costs exactly what
+    /// Drain the receive ring into the result stash, reporting each pumped
+    /// invocation id. `ring.poll_one` charges the busy-poll pickup on the
+    /// client clock per completion — the reactor sweep costs exactly what
     /// the old per-connection rescan did.
     fn pump(&self, sink: &mut dyn FnMut(u32)) {
         while let Some(completion) = self.ring.poll_one() {
             let wc = completion.wc;
             let (id, status) = ImmValue::parse_response(wc.imm.unwrap_or(0));
-            self.completed.lock().insert(id, (wc.byte_len, status));
+            let mut stash = self.completed.lock();
+            // The emptiness check keeps the common case from hashing `id`.
+            if !stash.abandoned.is_empty() && stash.abandoned.remove(&id) {
+                self.outstanding.fetch_sub(1, Ordering::Relaxed);
+            } else {
+                stash.results.insert(id, (wc.byte_len, status));
+            }
+            drop(stash);
             sink(id);
         }
     }
@@ -263,127 +274,38 @@ impl CompletionSource for WorkerConnection {
     }
 }
 
-/// Everything the invoker holds while a lease is active. Kept behind one lock
-/// so the recovery path can atomically swap the whole allocation (lease,
-/// executor, connections) from `&self` while invocation futures are waiting.
-struct ActiveAllocation {
+/// Everything the session holds while a lease is active. Kept behind one
+/// lock so the recovery path can atomically swap the whole allocation
+/// (lease, executor, connections) from `&self` while invocation futures are
+/// waiting.
+pub(crate) struct ActiveAllocation {
     /// Monotonic counter distinguishing successive allocations: a future
     /// observing its allocation die only triggers a re-allocation if the
     /// active epoch still matches what it used — otherwise another future
     /// already recovered and it just resubmits on the fresh connections.
     epoch: u64,
-    lease: Lease,
-    executor: Arc<SpotExecutor>,
-    process_id: u64,
-    package: CodePackage,
-    connections: Vec<Arc<WorkerConnection>>,
+    pub(crate) lease: Lease,
+    pub(crate) executor: Arc<SpotExecutor>,
+    pub(crate) process_id: u64,
+    pub(crate) package: CodePackage,
+    pub(crate) connections: Vec<Arc<WorkerConnection>>,
 }
 
-/// Maximum lease re-allocations one invocation attempts by default before
-/// surfacing the failure (guards against a platform that keeps handing out
-/// instantly-dying leases).
+/// Maximum lease re-allocations one invocation attempts before surfacing the
+/// failure (guards against a platform that keeps handing out instantly-dying
+/// leases).
 pub(crate) const DEFAULT_RECOVERY_BUDGET: u32 = 3;
-
-/// How an [`Invoker`] is wired beyond its platform configuration: the
-/// knobs [`crate::AllocationBuilder`] collects. A `None` resource gets a
-/// private instance; a shared one is installed before the first allocation,
-/// since connections capture the reactor, clock and pool at connect time and
-/// re-allocations re-attach to the same state plane.
-#[derive(Debug, Clone)]
-pub(crate) struct InvokerOptions {
-    /// Transparent re-allocations per invocation before a failure surfaces.
-    pub(crate) recovery_budget: u32,
-    /// How allocations (re-allocations included) provision the sandbox.
-    pub(crate) policy: AllocationPolicy,
-    /// Completion reactor shared with other sessions.
-    pub(crate) reactor: Option<Reactor>,
-    /// Virtual clock shared with other sessions.
-    pub(crate) clock: Option<Arc<VirtualClock>>,
-    /// Connection-warmth pool shared with other sessions.
-    pub(crate) pool: Option<ConnectionPool>,
-    /// State plane every allocation attaches to.
-    pub(crate) state_plane: Option<StatePlane>,
-}
-
-impl Default for InvokerOptions {
-    fn default() -> InvokerOptions {
-        InvokerOptions {
-            recovery_budget: DEFAULT_RECOVERY_BUDGET,
-            policy: AllocationPolicy::default(),
-            reactor: None,
-            clock: None,
-            pool: None,
-            state_plane: None,
-        }
-    }
-}
-
-/// The client-side invoker: manages leases, executor connections and
-/// invocation submission (the `rfaas::invoker` of Listing 2).
-pub(crate) struct Invoker {
-    fabric: Arc<Fabric>,
-    clock: Arc<VirtualClock>,
-    reactor: Reactor,
-    pd: ProtectionDomain,
-    node_name: String,
-    config: RFaasConfig,
-    manager: Arc<ResourceManager>,
-    /// Warmth pool worker connects draw from; shared across sessions (see
-    /// [`InvokerOptions::pool`]) so lease churn back to the same executor
-    /// reuses the warm re-establishment tier.
-    pool: ConnectionPool,
-    /// Datagram socket for first contact with the resource manager, bound
-    /// lazily on the first allocation and reused for every re-allocation.
-    control: OrderedMutex<Option<DatagramSocket>>,
-    connections_opened: AtomicU64,
-    active: OrderedMutex<Option<ActiveAllocation>>,
-    // The request that produced the current lease, replayed by the
-    // transparent recovery path (Sec. III-B: clients re-allocate when an
-    // executor disappears or a lease expires).
-    last_request: OrderedMutex<Option<(LeaseRequest, PollingMode)>>,
-    // Serialises recovery: two futures discovering the same dead allocation
-    // must produce one re-allocation, not two (the loser would overwrite —
-    // and leak — the winner's allocation).
-    recovery_lock: OrderedMutex<()>,
-    allocation_epoch: AtomicU64,
-    next_invocation: AtomicU32,
-    round_robin: AtomicUsize,
-    cold_start: OrderedMutex<Option<ColdStartBreakdown>>,
-    recoveries: AtomicU32,
-    recovery_budget: u32,
-    /// How the allocator provisions the executor sandbox: full cold spawn,
-    /// remote fork from a parked parent, or warm-pool resume.
-    policy: AllocationPolicy,
-    /// The state plane this invoker's allocations attach to, if any; every
-    /// fresh allocation re-attaches the executor process to it (recovery
-    /// included).
-    pub(crate) state_plane: Option<StatePlane>,
-    /// The session-side caching state client, attached lazily on the first
-    /// allocation and kept across re-allocations (the cache region and its
-    /// datagram endpoint belong to the client node, not to any lease).
-    pub(crate) session_state: OrderedMutex<Option<StateClient>>,
-}
 
 /// Everything one invocation needs to be posted (and transparently
 /// replayed): target worker, function name, payload location and length, and
-/// the result buffer. Bundling these kills the long argument tuples the raw
-/// API used to thread through every submission and recovery path.
+/// the result buffer.
 #[derive(Clone)]
 pub(crate) struct InvocationSpec {
     pub(crate) worker: Option<usize>,
-    pub(crate) function: String,
+    pub(crate) function: Arc<str>,
     pub(crate) input: Buffer,
     pub(crate) payload_len: usize,
     pub(crate) output: Buffer,
-}
-
-/// State of one transparent-recovery attempt: the allocation epoch observed
-/// failing, the remaining re-allocation budget, and the original failure to
-/// surface once the budget is spent.
-struct RecoveryPlan {
-    observed_epoch: u64,
-    budget: u32,
-    cause: RFaasError,
 }
 
 /// Doorbell accounting of one batched submission
@@ -403,67 +325,7 @@ pub struct BatchStats {
     pub post_time: SimDuration,
 }
 
-impl std::fmt::Debug for Invoker {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Invoker")
-            .field("node", &self.node_name)
-            .field("workers", &self.worker_count())
-            .finish()
-    }
-}
-
-impl Invoker {
-    /// Create an invoker for a client application running on `client_node`.
-    pub(crate) fn new(
-        fabric: &Arc<Fabric>,
-        client_node: &str,
-        manager: &Arc<ResourceManager>,
-        config: RFaasConfig,
-        options: InvokerOptions,
-    ) -> Invoker {
-        Invoker {
-            fabric: Arc::clone(fabric),
-            clock: options.clock.unwrap_or_else(VirtualClock::shared),
-            reactor: options.reactor.unwrap_or_default(),
-            pd: ProtectionDomain::new(),
-            node_name: client_node.to_string(),
-            config,
-            manager: Arc::clone(manager),
-            pool: options.pool.unwrap_or_default(),
-            control: OrderedMutex::new(ranks::CLIENT_CONTROL, None),
-            connections_opened: AtomicU64::new(0),
-            active: OrderedMutex::new(ranks::CLIENT_ACTIVE, None),
-            last_request: OrderedMutex::new(ranks::CLIENT_LAST_REQUEST, None),
-            recovery_lock: OrderedMutex::new(ranks::CLIENT_RECOVERY, ()),
-            allocation_epoch: AtomicU64::new(0),
-            next_invocation: AtomicU32::new(1),
-            round_robin: AtomicUsize::new(0),
-            cold_start: OrderedMutex::new(ranks::CLIENT_COLD_START, None),
-            recoveries: AtomicU32::new(0),
-            recovery_budget: options.recovery_budget,
-            policy: options.policy,
-            state_plane: options.state_plane,
-            session_state: OrderedMutex::new(ranks::CLIENT_SESSION_STATE, None),
-        }
-    }
-
-    /// Fault state of the active allocation's forked sandbox: `None` when
-    /// nothing is allocated or the sandbox was not provisioned by fork.
-    pub(crate) fn fork_state(&self) -> Option<Arc<ForkFaultState>> {
-        self.active
-            .lock()
-            .as_ref()
-            .and_then(|a| a.executor.allocator().fork_state(a.process_id))
-    }
-
-    /// Counters of the active executor process's state client.
-    pub(crate) fn executor_state_stats(&self) -> Option<StateClientStats> {
-        self.active
-            .lock()
-            .as_ref()
-            .and_then(|a| a.executor.allocator().state_client_stats(a.process_id))
-    }
-
+impl Session {
     /// Register the declared key set of `function` with the active executor
     /// process (the executor side of [`crate::FunctionHandle::with_state`]).
     pub(crate) fn bind_state_spec(&self, function: &str, spec: StateSpec) -> Result<()> {
@@ -473,27 +335,6 @@ impl Invoker {
             .executor
             .allocator()
             .bind_state_spec(active.process_id, function, spec)
-    }
-
-    /// The invoker's completion reactor: every worker connection is
-    /// registered with it and one [`Reactor::turn`] pumps them all.
-    pub(crate) fn reactor(&self) -> &Reactor {
-        &self.reactor
-    }
-
-    /// Connection-plane counters: physical connects, pool hit/miss, and the
-    /// active executor process's shared-receive-queue high watermark.
-    pub(crate) fn connection_stats(&self) -> ConnectionPlaneStats {
-        let pool = self.pool.stats();
-        let srq_depth_high_watermark = self.active.lock().as_ref().map_or(0, |a| {
-            a.executor.allocator().srq_high_watermark(a.process_id)
-        });
-        ConnectionPlaneStats {
-            connections_opened: self.connections_opened.load(Ordering::Relaxed),
-            pool_hits: pool.hits,
-            pool_misses: pool.misses,
-            srq_depth_high_watermark,
-        }
     }
 
     /// Drive the reactor until `invocation_id`'s result lands on
@@ -530,79 +371,15 @@ impl Invoker {
         }
     }
 
-    /// Whether `function` exists in the currently allocated code package.
-    pub(crate) fn has_function(&self, function: &str) -> bool {
-        self.active
-            .lock()
-            .as_ref()
-            .is_some_and(|a| a.package.function_by_name(function).is_some())
-    }
-
-    /// Names of every function in the currently allocated code package (the
-    /// session-level function registry; empty when nothing is allocated).
-    pub(crate) fn function_names(&self) -> Vec<String> {
-        self.active.lock().as_ref().map_or_else(Vec::new, |a| {
-            a.package
-                .functions()
-                .iter()
-                .map(|f| f.name().to_string())
-                .collect()
-        })
-    }
-
-    /// The client's virtual clock (latency measurements are deltas of this).
-    pub(crate) fn clock(&self) -> &Arc<VirtualClock> {
-        &self.clock
-    }
-
-    /// Buffer allocator bound to the invoker's protection domain.
-    pub(crate) fn allocator(&self) -> BufferAllocator {
-        BufferAllocator {
-            pd: self.pd.clone(),
-        }
-    }
-
-    /// Number of connected executor workers.
-    pub(crate) fn worker_count(&self) -> usize {
-        self.active
-            .lock()
-            .as_ref()
-            .map_or(0, |a| a.connections.len())
-    }
-
-    /// Cold-start breakdown of the last allocation, if any.
-    pub(crate) fn cold_start(&self) -> Option<ColdStartBreakdown> {
-        self.cold_start.lock().clone()
-    }
-
-    /// The active lease, if any.
-    pub(crate) fn lease(&self) -> Option<Lease> {
-        self.active.lock().as_ref().map(|a| a.lease.clone())
-    }
-
-    /// How many times the invoker transparently re-allocated after a lease
-    /// expired or an executor was lost.
-    pub(crate) fn recoveries(&self) -> u32 {
-        self.recoveries.load(Ordering::Relaxed)
-    }
-
     /// Acquire a lease and spin up executor workers (the cold invocation path
     /// of Fig. 5/6). `mode` selects hot busy-polling or warm blocking waits
-    /// on the executor side.
-    pub(crate) fn allocate(
-        &mut self,
-        request: LeaseRequest,
-        mode: PollingMode,
-    ) -> Result<ColdStartBreakdown> {
+    /// on the executor side. The request is kept for transparent recovery.
+    pub(crate) fn allocate(&self, request: LeaseRequest, mode: PollingMode) -> Result<()> {
         *self.last_request.lock() = Some((request.clone(), mode));
         self.allocate_internal(&request, mode)
     }
 
-    fn allocate_internal(
-        &self,
-        request: &LeaseRequest,
-        mode: PollingMode,
-    ) -> Result<ColdStartBreakdown> {
+    fn allocate_internal(&self, request: &LeaseRequest, mode: PollingMode) -> Result<()> {
         if self.active.lock().is_some() {
             self.deallocate_internal();
         }
@@ -697,8 +474,8 @@ impl Invoker {
         if let Some(displaced) = self.active.lock().replace(fresh) {
             self.teardown(displaced);
         }
-        *self.cold_start.lock() = Some(breakdown.clone());
-        Ok(breakdown)
+        *self.cold_start.lock() = Some(breakdown);
+        Ok(())
     }
 
     /// Epoch of the current allocation (0 when none is active).
@@ -782,7 +559,7 @@ impl Invoker {
             let (qp, _warm) = connect_pooled(
                 &endpoint,
                 &worker.address,
-                &self.pool,
+                &self.connection_pool,
                 pool_key,
                 self.config.connect_timeout,
             )?;
@@ -822,7 +599,7 @@ impl Invoker {
                 ring,
                 overflow_scratch,
                 outstanding: AtomicUsize::new(0),
-                completed: OrderedMutex::new(ranks::CLIENT_COMPLETED, HashMap::new()),
+                completed: OrderedMutex::new(ranks::CLIENT_COMPLETED, ResultStash::default()),
                 reactor_token: AtomicU64::new(0),
                 index,
             });
@@ -836,39 +613,6 @@ impl Invoker {
             connections.push(connection);
         }
         Ok(connections)
-    }
-
-    /// Renew the active lease: a manager round trip pushing the expiry to
-    /// `now + extension` (charged at the lease-renewal processing cost), then
-    /// the executor-side deadline update, so long-running clients keep their
-    /// hot workers. Returns the new expiry instant.
-    pub(crate) fn extend_lease(&self, extension: SimDuration) -> Result<SimTime> {
-        let (lease_id, executor) = {
-            let active = self.active.lock();
-            let active = active.as_ref().ok_or(RFaasError::NotAllocated)?;
-            (active.lease.id, Arc::clone(&active.executor))
-        };
-        // Submitting the renewal request costs the same as submitting an
-        // allocation; the manager then charges its processing cost.
-        self.clock.advance(self.config.allocation_submit_cost);
-        let renewed = self.manager.renew_lease(lease_id, extension, &self.clock)?;
-        if executor
-            .allocator()
-            .extend_lease(lease_id, renewed.expires_at)
-            == 0
-        {
-            // The executor process is already gone (idle-reaped or expired
-            // under us): the manager-side renewal succeeded but there is no
-            // worker left to keep hot. Surface it so the caller re-allocates
-            // instead of invoking into a dead connection.
-            return Err(RFaasError::ExecutorLost(renewed.executor_node));
-        }
-        if let Some(active) = self.active.lock().as_mut() {
-            if active.lease.id == lease_id {
-                active.lease = renewed.clone();
-            }
-        }
-        Ok(renewed.expires_at)
     }
 
     /// Tear down the current allocation and replay the last lease request:
@@ -900,52 +644,19 @@ impl Invoker {
         Ok(())
     }
 
-    /// Submit an invocation of `function` with `payload_len` bytes from
-    /// `input`; the result will be written into `output`.
-    pub(crate) fn submit(
-        &self,
-        function: &str,
-        input: &Buffer,
-        payload_len: usize,
-        output: &Buffer,
-    ) -> Result<InvocationFuture<'_>> {
-        self.submit_spec(InvocationSpec {
-            worker: None,
-            function: function.to_string(),
-            input: input.clone(),
-            payload_len,
-            output: output.clone(),
-        })
+    /// Submit one invocation: a batch of one on the shared posting path.
+    pub(crate) fn submit(&self, spec: &InvocationSpec) -> Result<InvocationFuture<'_>> {
+        let (mut futures, _) = self.submit_specs(std::slice::from_ref(spec))?;
+        Ok(futures.pop().expect("one future per spec"))
     }
 
-    pub(crate) fn submit_spec(&self, spec: InvocationSpec) -> Result<InvocationFuture<'_>> {
-        let observed_epoch = self.current_epoch();
-        match self.try_submit_spec(&spec) {
-            // A dead connection at submission time (the executor node was
-            // reclaimed under us) is recovered exactly like a mid-wait loss:
-            // re-allocate and submit on the fresh connections, with the same
-            // retry budget.
-            Err(e) if connection_is_lost(&e) && self.last_request.lock().is_some() => {
-                let plan = RecoveryPlan {
-                    observed_epoch,
-                    budget: self.recovery_budget,
-                    cause: e,
-                };
-                let (mut future, used) = self.recover_and_resubmit(&spec, plan)?;
-                future.recoveries = used;
-                Ok(future)
-            }
-            result => result,
-        }
-    }
-
-    /// Submit a whole batch of invocations behind one doorbell: every WQE of
-    /// the batch is built back-to-back and posted on the chained path
+    /// Submit a batch of invocations behind one doorbell: every WQE of the
+    /// batch is built back-to-back and posted on the chained path
     /// ([`rdma_fabric::QueuePair::post_send_batch`] semantics, spanning the
     /// per-worker queue pairs of one NIC), so only the first submission pays
-    /// the full issue cost. A connection lost mid-batch triggers one
-    /// transparent recovery of the whole batch, bounded by the invoker's
-    /// recovery budget.
+    /// the full issue cost. A dead connection at submission time (the
+    /// executor node was reclaimed under us) is recovered exactly like a
+    /// mid-wait loss: the whole batch is replayed on a fresh allocation.
     pub(crate) fn submit_specs(
         &self,
         specs: &[InvocationSpec],
@@ -957,68 +668,46 @@ impl Invoker {
         // allocation died, recover() must only tear down that allocation —
         // a fresh one another future raced in is detected as a newer epoch
         // and reused, never destroyed.
-        let mut observed_epoch = self.current_epoch();
+        let observed_epoch = self.current_epoch();
         match self.try_submit_specs(specs) {
-            Err(cause) if connection_is_lost(&cause) && self.last_request.lock().is_some() => {
-                // Mirror of recover_and_resubmit, replaying the whole batch:
-                // a failed recovery consumes budget and is retried against
-                // whatever epoch is live now; once the budget is spent the
-                // original cause surfaces. Posts from a failed attempt died
-                // with the torn-down connections.
-                let mut used = 0u32;
-                loop {
-                    used += 1;
-                    if used > self.recovery_budget {
-                        return Err(cause);
-                    }
-                    if self.recover(observed_epoch).is_err() {
-                        continue;
-                    }
-                    observed_epoch = self.current_epoch();
-                    match self.try_submit_specs(specs) {
-                        Ok((mut futures, stats)) => {
-                            // The budget spent here is charged to every
-                            // future of the batch, exactly as the
-                            // single-submission path records it — a later
-                            // mid-wait recovery draws on what remains.
-                            for future in &mut futures {
-                                future.recoveries = used;
-                            }
-                            return Ok((futures, stats));
-                        }
-                        Err(e) if connection_is_lost(&e) => continue,
-                        Err(e) => return Err(e),
-                    }
-                }
+            Err(cause) if connection_is_lost(&cause) => {
+                self.recover_and_resubmit(specs, observed_epoch, DEFAULT_RECOVERY_BUDGET, cause)
             }
             result => result,
         }
     }
 
-    /// Recover from an allocation observed dead at `plan.observed_epoch`,
-    /// then resubmit the invocation; fresh connection losses are retried (the
-    /// manager's round robin moves to a different executor each attempt)
-    /// until the plan's budget is spent, after which the plan's cause
-    /// surfaces. Returns the replacement future and the attempts consumed.
+    /// The one recovery loop: re-allocate after the allocation observed
+    /// failing at `observed_epoch`, then replay `specs`. A failed recovery
+    /// or a fresh connection loss consumes budget and is retried against
+    /// whatever epoch is live now (the manager's round robin moves to a
+    /// different executor each attempt); once `budget` attempts are spent
+    /// the original `cause` surfaces. Every returned future records the
+    /// attempts consumed, so a later mid-wait recovery draws on what remains.
     fn recover_and_resubmit(
         &self,
-        spec: &InvocationSpec,
-        mut plan: RecoveryPlan,
-    ) -> Result<(InvocationFuture<'_>, u32)> {
+        specs: &[InvocationSpec],
+        mut observed_epoch: u64,
+        budget: u32,
+        cause: RFaasError,
+    ) -> Result<(Vec<InvocationFuture<'_>>, BatchStats)> {
         let mut used = 0;
         loop {
             used += 1;
-            if used > plan.budget {
-                return Err(plan.cause);
+            if used > budget {
+                return Err(cause);
             }
-            if self.recover(plan.observed_epoch).is_err() {
+            if self.recover(observed_epoch).is_err() {
                 continue;
             }
-            // Whatever allocation is live now (ours or another future's) is
-            // the one the next attempt must observe failing.
-            plan.observed_epoch = self.current_epoch();
-            match self.try_submit_spec(spec) {
-                Ok(future) => return Ok((future, used)),
+            observed_epoch = self.current_epoch();
+            match self.try_submit_specs(specs) {
+                Ok((mut futures, stats)) => {
+                    for future in &mut futures {
+                        future.recoveries = used;
+                    }
+                    return Ok((futures, stats));
+                }
                 Err(e) if connection_is_lost(&e) => continue,
                 Err(e) => return Err(e),
             }
@@ -1041,7 +730,7 @@ impl Invoker {
             let (function_index, _) = active
                 .package
                 .function_by_name(&spec.function)
-                .ok_or_else(|| RFaasError::UnknownFunction(spec.function.clone()))?;
+                .ok_or_else(|| RFaasError::UnknownFunction(spec.function.to_string()))?;
             let connection = match spec.worker {
                 Some(idx) => active
                     .connections
@@ -1071,90 +760,61 @@ impl Invoker {
         Ok((function_index as u8, connection, epoch))
     }
 
-    fn try_submit_spec(&self, spec: &InvocationSpec) -> Result<InvocationFuture<'_>> {
-        let (function_index, connection, epoch) = self.resolve_spec(spec)?;
-        let invocation_id = self.next_invocation.fetch_add(1, Ordering::Relaxed) & 0x00FF_FFFF;
-
-        // Reserve the in-flight slot *before* deciding whether an extra
-        // receive is needed: the previous value tells this submission alone
-        // whether it fits the ring, so concurrent submits cannot both read a
-        // stale count and under-post receives (a lost result would hang the
-        // waiter forever). Every error below must return the reservation.
-        let reserved = connection.outstanding.fetch_add(1, Ordering::Relaxed);
-        if let Err(e) = self.post_invocation(
-            &connection,
-            reserved,
-            invocation_id,
-            function_index,
-            spec,
-            false,
-        ) {
-            connection.outstanding.fetch_sub(1, Ordering::Relaxed);
-            return Err(e);
-        }
-
-        Ok(InvocationFuture {
-            invoker: self,
-            connection,
-            invocation_id,
-            spec: spec.clone(),
-            redirections: 0,
-            recoveries: 0,
-            epoch,
-        })
-    }
-
-    /// One attempt at posting a whole batch behind a shared doorbell. Every
-    /// spec is resolved and capacity-checked *before* the first WQE is built;
-    /// a post that still fails mid-batch (a lost connection, or a device
-    /// limit such as an exhausted receive queue) reaps the already-posted
-    /// invocations before the error surfaces, so no in-flight reservation or
-    /// undrained completion outlives the failed attempt.
+    /// One attempt at posting a batch behind a shared doorbell. Every spec is
+    /// resolved and capacity-checked *before* the first WQE is built; a post
+    /// that still fails mid-batch (a lost connection, or a device limit such
+    /// as an exhausted receive queue) reaps the already-posted invocations
+    /// before the error surfaces, so no in-flight reservation or undrained
+    /// completion outlives the failed attempt.
     fn try_submit_specs(
         &self,
         specs: &[InvocationSpec],
     ) -> Result<(Vec<InvocationFuture<'_>>, BatchStats)> {
-        let mut resolved = Vec::with_capacity(specs.len());
+        let mut futures = Vec::with_capacity(specs.len());
         for spec in specs {
-            resolved.push(self.resolve_spec(spec)?);
-        }
-        let started = self.clock.now();
-        let mut futures: Vec<InvocationFuture<'_>> = Vec::with_capacity(specs.len());
-        for (i, (spec, (function_index, connection, epoch))) in
-            specs.iter().zip(resolved).enumerate()
-        {
-            let invocation_id = self.next_invocation.fetch_add(1, Ordering::Relaxed) & 0x00FF_FFFF;
-            let reserved = connection.outstanding.fetch_add(1, Ordering::Relaxed);
-            if let Err(e) = self.post_invocation(
-                &connection,
-                reserved,
-                invocation_id,
-                function_index,
-                spec,
-                i > 0,
-            ) {
-                connection.outstanding.fetch_sub(1, Ordering::Relaxed);
-                // The earlier posts of this attempt already executed. Wait
-                // their completions out (discarding the results) so their
-                // reservations and ring slots are returned — otherwise the
-                // connection's in-flight count stays inflated forever and
-                // stale completions clog the stash. A connection that died
-                // has nothing left to drain; await_result's error says
-                // exactly that and is safe to ignore.
-                for posted in &futures {
-                    let _ = self.await_result(&posted.connection, posted.invocation_id);
-                }
-                return Err(e);
-            }
+            let (function_index, connection, epoch) = self.resolve_spec(spec)?;
             futures.push(InvocationFuture {
-                invoker: self,
+                session: self,
                 connection,
-                invocation_id,
+                invocation_id: 0,
+                function_index,
+                pending: false,
                 spec: spec.clone(),
                 redirections: 0,
                 recoveries: 0,
                 epoch,
             });
+        }
+        let started = self.clock.now();
+        for i in 0..futures.len() {
+            let future = &mut futures[i];
+            future.invocation_id =
+                self.next_invocation.fetch_add(1, Ordering::Relaxed) & 0x00FF_FFFF;
+            // Reserve the in-flight slot *before* deciding whether an extra
+            // receive is needed: the previous value tells this submission
+            // alone whether it fits the ring, so concurrent submits cannot
+            // both read a stale count and under-post receives (a lost result
+            // would hang the waiter forever).
+            let reserved = future
+                .connection
+                .outstanding
+                .fetch_add(1, Ordering::Relaxed);
+            if let Err(e) = self.post_invocation(future, reserved, i > 0) {
+                future
+                    .connection
+                    .outstanding
+                    .fetch_sub(1, Ordering::Relaxed);
+                // The earlier posts of this attempt already executed. Wait
+                // their completions out, discarding the results, so the
+                // failed attempt leaves no reservation or stashed result
+                // behind. A connection that died has nothing left to drain;
+                // the error says exactly that.
+                for posted in &mut futures[..i] {
+                    let _ = posted.take();
+                }
+                return Err(e);
+            }
+            future.pending = true;
         }
         let stats = BatchStats {
             submissions: specs.len(),
@@ -1165,26 +825,29 @@ impl Invoker {
         Ok((futures, stats))
     }
 
-    /// Post one invocation onto `connection`: the overflow receive when this
-    /// submission's reserved slot (`reserved`, the pre-increment in-flight
-    /// count) exceeds the ring, then header + payload — inline when the wire
-    /// fits the device's WQE inline capacity, buffered otherwise. A `chained`
-    /// post joins the WQE chain opened by the previous post of the batch
-    /// (descriptor build only, no doorbell) and always takes the buffered
-    /// path, since inline WQEs cannot join a chain that spans queue pairs.
+    /// Post `future`'s invocation onto its connection: the overflow receive
+    /// when this submission's reserved slot (`reserved`, the pre-increment
+    /// in-flight count) exceeds the ring, then header + payload — inline when
+    /// the wire fits the device's WQE inline capacity, buffered otherwise. A
+    /// `chained` post joins the WQE chain opened by the previous post of the
+    /// batch (descriptor build only, no doorbell) and always takes the
+    /// buffered path, since inline WQEs cannot join a chain that spans queue
+    /// pairs.
     fn post_invocation(
         &self,
-        connection: &Arc<WorkerConnection>,
+        future: &InvocationFuture<'_>,
         reserved: usize,
-        invocation_id: u32,
-        function_index: u8,
-        spec: &InvocationSpec,
         chained: bool,
     ) -> Result<()> {
         // Payload-vs-capacity bounds were already enforced by resolve_spec
-        // (every caller resolves before posting), so the spec is trusted
+        // (every future is resolved before posting), so the spec is trusted
         // here.
-        let (input, payload_len, output) = (&spec.input, spec.payload_len, &spec.output);
+        let connection = &future.connection;
+        let (input, payload_len, output) = (
+            &future.spec.input,
+            future.spec.payload_len,
+            &future.spec.output,
+        );
 
         // The connection's receive ring holds one pre-posted slot per
         // in-flight result; only past the ring depth does a submission pay an
@@ -1201,7 +864,7 @@ impl Invoker {
         // write the result.
         self.clock.advance(self.config.header_write_cost);
         let header = InvocationHeader::for_result_buffer(&output.remote_handle());
-        let imm = ImmValue::request(invocation_id, function_index);
+        let imm = ImmValue::request(future.invocation_id, future.function_index);
         // Stack staging area for inline wires — the hot path must not touch
         // the heap (the default inline capacity is 128 B; a profile offering
         // more simply falls back to the buffered path beyond this bound).
@@ -1218,7 +881,7 @@ impl Invoker {
                 wire[INVOCATION_HEADER_BYTES..wire_len].copy_from_slice(payload);
             });
             connection.qp.post_write_inline(
-                invocation_id as u64,
+                future.invocation_id as u64,
                 &wire[..wire_len],
                 &connection.remote_input.slice(0, wire_len),
                 Some(imm),
@@ -1232,7 +895,7 @@ impl Invoker {
                 .write(0, &header.encode())
                 .map_err(RFaasError::from)?;
             connection.qp.post_send_chained(
-                invocation_id as u64,
+                future.invocation_id as u64,
                 SendRequest::WriteWithImm {
                     local: Sge::range(input.region(), 0, wire_len),
                     remote: connection.remote_input.slice(0, wire_len),
@@ -1258,27 +921,11 @@ impl Invoker {
         Arc::clone(&connections[start % n])
     }
 
-    /// Convenience wrapper: submit one invocation and wait for its result,
-    /// returning the output length and the client-observed round-trip time.
-    pub(crate) fn invoke_sync(
-        &self,
-        function: &str,
-        input: &Buffer,
-        payload_len: usize,
-        output: &Buffer,
-    ) -> Result<(usize, SimDuration)> {
-        let start = self.clock.now();
-        let future = self.submit(function, input, payload_len, output)?;
-        let len = future.wait()?;
-        Ok((len, self.clock.now().saturating_since(start)))
-    }
-
     /// Release all executor resources and the lease (Listing 2's
-    /// `invoker.deallocate()`).
-    pub(crate) fn deallocate(&mut self) -> Result<()> {
+    /// `invoker.deallocate()`), and forget the request recovery would replay.
+    pub(crate) fn deallocate(&self) {
         *self.last_request.lock() = None;
         self.deallocate_internal();
-        Ok(())
     }
 
     fn deallocate_internal(&self) {
@@ -1294,7 +941,7 @@ impl Invoker {
             // The remote node's state (path records, exchanged attributes)
             // survives the teardown: park a warmth token so a re-allocation
             // landing on the same executor reconnects at the warm tier.
-            self.pool
+            self.connection_pool
                 .release(&active.lease.executor_node, self.clock.now());
         }
         // Both calls tolerate the other side being gone already: a failed
@@ -1321,19 +968,19 @@ fn connection_is_lost(error: &RFaasError) -> bool {
     }
 }
 
-impl Drop for Invoker {
-    fn drop(&mut self) {
-        let _ = self.deallocate();
-    }
-}
-
 /// The in-flight result of a submitted invocation (`std::future`-style,
 /// Sec. IV-B). Waiting busy-polls the client-side completion queue, which is
-/// what the paper's invoker does to minimise latency.
+/// what the paper's invoker does to minimise latency. A future dropped
+/// without a wait abandons its invocation: the result is discarded when it
+/// lands and the connection's in-flight reservation comes back.
 pub(crate) struct InvocationFuture<'a> {
-    invoker: &'a Invoker,
+    session: &'a Session,
     connection: Arc<WorkerConnection>,
     invocation_id: u32,
+    function_index: u8,
+    /// Whether `invocation_id` was posted and still owes a result on
+    /// `connection` (cleared once the result is taken).
+    pending: bool,
     spec: InvocationSpec,
     redirections: u32,
     recoveries: u32,
@@ -1351,7 +998,20 @@ impl std::fmt::Debug for InvocationFuture<'_> {
     }
 }
 
-impl InvocationFuture<'_> {
+impl Drop for InvocationFuture<'_> {
+    fn drop(&mut self) {
+        if self.pending {
+            self.connection.abandon(self.invocation_id);
+        }
+    }
+}
+
+impl<'a> InvocationFuture<'a> {
+    /// The session the invocation was submitted through.
+    pub(crate) fn session(&self) -> &'a Session {
+        self.session
+    }
+
     /// The invocation identifier carried in the immediate value.
     pub(crate) fn id(&self) -> u32 {
         self.invocation_id
@@ -1374,7 +1034,7 @@ impl InvocationFuture<'_> {
     /// `true` result makes the next [`InvocationFuture::wait`] return without
     /// further polling (modulo transparent redirections).
     pub(crate) fn is_complete(&self) -> bool {
-        self.invoker.reactor.turn();
+        self.session.reactor.turn();
         self.connection.has_result(self.invocation_id)
     }
 
@@ -1385,7 +1045,7 @@ impl InvocationFuture<'_> {
     }
 
     /// The `(source token, invocation id)` key under which a continuation
-    /// for this future registers with the invoker's reactor.
+    /// for this future registers with the session's reactor.
     pub(crate) fn reactor_key(&self) -> (u64, u32) {
         (self.connection.token(), self.invocation_id)
     }
@@ -1396,25 +1056,41 @@ impl InvocationFuture<'_> {
         !self.connection.qp.is_connected()
     }
 
-    /// Re-allocate through the manager and replay this invocation on the
-    /// fresh connections, drawing on the future's remaining recovery budget
-    /// (shared with the submission-time recovery path).
-    fn recover_and_resubmit(&mut self, cause: RFaasError) -> Result<()> {
-        let budget = self.invoker.recovery_budget.saturating_sub(self.recoveries);
-        // The replay is not pinned to the dead worker index: the round robin
-        // moves it to whatever the fresh allocation offers.
-        let mut spec = self.spec.clone();
-        spec.worker = None;
-        let plan = RecoveryPlan {
-            observed_epoch: self.epoch,
-            budget,
-            cause,
-        };
-        let (retry, used) = self.invoker.recover_and_resubmit(&spec, plan)?;
-        self.recoveries += used;
-        self.connection = Arc::clone(&retry.connection);
+    /// Drive the reactor until this invocation's result lands, and take it.
+    fn take(&mut self) -> Result<(usize, ResultStatus)> {
+        let result = self
+            .session
+            .await_result(&self.connection, self.invocation_id)?;
+        self.pending = false;
+        Ok(result)
+    }
+
+    /// Continue as the resubmitted `retry`: its connection, invocation id,
+    /// epoch and pending result become this future's, and the recoveries it
+    /// consumed add to this future's count.
+    fn adopt(&mut self, mut retry: InvocationFuture<'a>) {
+        std::mem::swap(&mut self.connection, &mut retry.connection);
         self.invocation_id = retry.invocation_id;
         self.epoch = retry.epoch;
+        self.recoveries += retry.recoveries;
+        self.pending = std::mem::replace(&mut retry.pending, false);
+    }
+
+    /// Re-allocate through the manager and replay this invocation on the
+    /// fresh connections, drawing on the future's remaining recovery budget.
+    /// The replay is not pinned to the dead worker index: the round robin
+    /// moves it to whatever the fresh allocation offers.
+    fn recover(&mut self, cause: RFaasError) -> Result<()> {
+        let mut spec = self.spec.clone();
+        spec.worker = None;
+        let budget = DEFAULT_RECOVERY_BUDGET.saturating_sub(self.recoveries);
+        let (mut retry, _) = self.session.recover_and_resubmit(
+            std::slice::from_ref(&spec),
+            self.epoch,
+            budget,
+            cause,
+        )?;
+        self.adopt(retry.pop().expect("one future per spec"));
         Ok(())
     }
 
@@ -1428,13 +1104,10 @@ impl InvocationFuture<'_> {
     /// from the resource manager (Sec. III-B failure handling).
     pub(crate) fn wait(mut self) -> Result<usize> {
         loop {
-            let (byte_len, status) = match self
-                .invoker
-                .await_result(&self.connection, self.invocation_id)
-            {
+            let (byte_len, status) = match self.take() {
                 Ok(result) => result,
                 Err(e) if connection_is_lost(&e) => {
-                    self.recover_and_resubmit(e)?;
+                    self.recover(e)?;
                     continue;
                 }
                 Err(e) => return Err(e),
@@ -1450,23 +1123,21 @@ impl InvocationFuture<'_> {
                     ))
                 }
                 ResultStatus::LeaseExpired => {
-                    let lease_id = self.invoker.lease().map(|l| l.id).unwrap_or_default();
-                    self.recover_and_resubmit(RFaasError::LeaseExpired(lease_id))?;
+                    let lease_id = self.session.lease().map(|l| l.id).unwrap_or_default();
+                    self.recover(RFaasError::LeaseExpired(lease_id))?;
                 }
                 ResultStatus::Rejected => {
                     // Redirect to a different worker; give up once every
                     // worker rejected the request.
                     self.redirections += 1;
-                    if self.redirections as usize > self.invoker.worker_count() {
+                    let workers = self.session.worker_count();
+                    if self.redirections as usize > workers {
                         return Err(RFaasError::AllWorkersBusy);
                     }
-                    let next_worker = (self.connection.index + 1) % self.invoker.worker_count();
                     let mut spec = self.spec.clone();
-                    spec.worker = Some(next_worker);
-                    let retry = self.invoker.submit_spec(spec)?;
-                    self.connection = Arc::clone(&retry.connection);
-                    self.invocation_id = retry.invocation_id;
-                    self.epoch = retry.epoch;
+                    spec.worker = Some((self.connection.index + 1) % workers);
+                    let retry = self.session.submit(&spec)?;
+                    self.adopt(retry);
                 }
             }
         }
@@ -1476,10 +1147,13 @@ impl InvocationFuture<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::RFaasConfig;
+    use crate::manager::ResourceManager;
     use cluster_sim::NodeResources;
+    use rdma_fabric::Fabric;
     use sandbox::{echo_function, failing_function, CodePackage, FunctionRegistry};
 
-    fn platform(workers: u32) -> (Arc<Fabric>, Arc<ResourceManager>, Invoker) {
+    fn platform(workers: u32) -> (Arc<Fabric>, Arc<ResourceManager>, Session) {
         let fabric = Fabric::with_defaults();
         let registry = FunctionRegistry::new();
         registry.deploy(
@@ -1499,34 +1173,33 @@ mod tests {
             RFaasConfig::default(),
         );
         manager.register_executor(&executor);
-        let mut invoker = Invoker::new(
-            &fabric,
-            "client-0",
-            &manager,
-            RFaasConfig::default(),
-            InvokerOptions::default(),
-        );
-        invoker
-            .allocate(
-                LeaseRequest::single_worker("pkg").with_cores(workers),
-                PollingMode::Hot,
-            )
+        let session = Session::builder(&fabric, "client-0", &manager, "pkg")
+            .workers(workers)
+            .connect()
             .unwrap();
-        (fabric, manager, invoker)
+        (fabric, manager, session)
+    }
+
+    /// A raw spec for `function` on caller-managed buffers.
+    fn raw_spec(
+        function: &str,
+        input: &Buffer,
+        payload_len: usize,
+        output: &Buffer,
+    ) -> InvocationSpec {
+        InvocationSpec {
+            worker: None,
+            function: Arc::from(function),
+            input: input.clone(),
+            payload_len,
+            output: output.clone(),
+        }
     }
 
     #[test]
     fn buffers_round_trip_payloads() {
-        let fabric = Fabric::with_defaults();
-        let manager = ResourceManager::new(&fabric, RFaasConfig::default());
-        let invoker = Invoker::new(
-            &fabric,
-            "c",
-            &manager,
-            RFaasConfig::default(),
-            InvokerOptions::default(),
-        );
-        let alloc = invoker.allocator();
+        let (_fabric, _manager, session) = platform(1);
+        let alloc = session.allocator();
         let input = alloc.input(64);
         assert_eq!(input.capacity(), 64);
         assert_eq!(input.payload_offset(), INVOCATION_HEADER_BYTES);
@@ -1537,25 +1210,17 @@ mod tests {
         let output = alloc.output(32);
         assert_eq!(output.payload_offset(), 0);
         let values = [1.5f64, -2.25, 3.0];
-        output.write_f64(&values).unwrap();
-        assert_eq!(output.read_f64(24).unwrap(), values);
+        assert_eq!(output.write_encoded(&values[..]).unwrap(), 24);
+        assert_eq!(output.read_decoded::<[f64]>(24).unwrap(), values);
     }
 
     #[test]
     fn read_payload_rejects_len_past_the_buffer_extent() {
-        // Regression: read_payload/read_f64 used to clamp an oversized `len`
+        // Regression: read_payload used to clamp an oversized `len`
         // silently, handing back a short read the caller would misinterpret
         // as the complete result.
-        let fabric = Fabric::with_defaults();
-        let manager = ResourceManager::new(&fabric, RFaasConfig::default());
-        let invoker = Invoker::new(
-            &fabric,
-            "c",
-            &manager,
-            RFaasConfig::default(),
-            InvokerOptions::default(),
-        );
-        let alloc = invoker.allocator();
+        let (_fabric, _manager, session) = platform(1);
+        let alloc = session.allocator();
         let buf = alloc.output(32);
         buf.write_payload(&[1u8; 32]).unwrap();
         assert_eq!(buf.read_payload(32).unwrap().len(), 32);
@@ -1567,7 +1232,7 @@ mod tests {
             })
         ));
         assert!(matches!(
-            buf.read_f64(40),
+            buf.read_decoded::<[f64]>(40),
             Err(RFaasError::PayloadTooLarge { .. })
         ));
         // Input buffers bound against the payload capacity, not the region
@@ -1579,12 +1244,12 @@ mod tests {
 
     #[test]
     fn small_invocations_ride_the_inline_path_without_staging_the_header() {
-        let (_fabric, _manager, invoker) = platform(1);
-        let alloc = invoker.allocator();
+        let (_fabric, _manager, session) = platform(1);
+        let alloc = session.allocator();
         let input = alloc.input(4096);
         let output = alloc.output(4096);
         input.write_payload(&[3u8; 8]).unwrap();
-        let (len, _) = invoker.invoke_sync("echo", &input, 8, &output).unwrap();
+        let (len, _) = session.invoke_raw("echo", &input, 8, &output).unwrap();
         assert_eq!(len, 8);
         // Zero-copy check: the inline path never wrote the 24-byte header
         // into the client's input region — it travelled inside the WQE.
@@ -1595,7 +1260,7 @@ mod tests {
         // A payload past the inline capacity takes the buffered path and
         // stages the header.
         input.write_payload(&[5u8; 2048]).unwrap();
-        let (len, _) = invoker.invoke_sync("echo", &input, 2048, &output).unwrap();
+        let (len, _) = session.invoke_raw("echo", &input, 2048, &output).unwrap();
         assert_eq!(len, 2048);
         assert_ne!(
             input.region().read(0, INVOCATION_HEADER_BYTES).unwrap(),
@@ -1608,16 +1273,16 @@ mod tests {
     // here only the negative case stays, close to the billing arithmetic.
     #[test]
     fn sub_timeout_gaps_do_not_demote() {
-        let (_fabric, manager, invoker) = platform(1);
+        let (_fabric, manager, session) = platform(1);
         let timeout = RFaasConfig::default().hot_poll_timeout;
-        let alloc = invoker.allocator();
+        let alloc = session.allocator();
         let input = alloc.input(64);
         let output = alloc.output(64);
         input.write_payload(&[1u8; 8]).unwrap();
-        invoker.invoke_sync("echo", &input, 8, &output).unwrap();
+        session.invoke_raw("echo", &input, 8, &output).unwrap();
         for _ in 0..3 {
-            invoker.clock().advance(timeout / 2);
-            invoker.invoke_sync("echo", &input, 8, &output).unwrap();
+            session.clock().advance(timeout / 2);
+            session.invoke_raw("echo", &input, 8, &output).unwrap();
         }
         let executor = manager.executor("exec-0").unwrap();
         let process = executor.allocator().processes().pop().unwrap();
@@ -1631,19 +1296,19 @@ mod tests {
 
     #[test]
     fn allocate_invoke_deallocate_round_trip() {
-        let (_fabric, manager, mut invoker) = platform(1);
-        assert_eq!(invoker.worker_count(), 1);
-        assert!(invoker.lease().is_some());
-        let cold = invoker.cold_start().unwrap();
+        let (_fabric, manager, session) = platform(1);
+        assert_eq!(session.worker_count(), 1);
+        assert!(session.lease().is_some());
+        let cold = session.cold_start().unwrap();
         assert!(cold.total().as_millis_f64() > 10.0);
 
-        let alloc = invoker.allocator();
+        let alloc = session.allocator();
         let input = alloc.input(1024);
         let output = alloc.output(1024);
         let payload: Vec<u8> = (0..100u8).collect();
         input.write_payload(&payload).unwrap();
-        let (len, rtt) = invoker
-            .invoke_sync("echo", &input, payload.len(), &output)
+        let (len, rtt) = session
+            .invoke_raw("echo", &input, payload.len(), &output)
             .unwrap();
         assert_eq!(len, 100);
         assert_eq!(output.read_payload(100).unwrap(), payload);
@@ -1652,23 +1317,23 @@ mod tests {
             "rtt {rtt}"
         );
 
-        invoker.deallocate().unwrap();
-        assert_eq!(invoker.worker_count(), 0);
+        session.deallocate();
+        assert_eq!(session.worker_count(), 0);
         assert_eq!(manager.lease_count(), 0);
     }
 
     #[test]
     fn hot_invocation_latency_matches_paper_range() {
-        let (_fabric, _manager, invoker) = platform(1);
-        let alloc = invoker.allocator();
+        let (_fabric, _manager, session) = platform(1);
+        let alloc = session.allocator();
         let input = alloc.input(64);
         let output = alloc.output(64);
         input.write_payload(&[7u8; 8]).unwrap();
         // Warm up the executor, then measure.
-        invoker.invoke_sync("echo", &input, 8, &output).unwrap();
+        session.invoke_raw("echo", &input, 8, &output).unwrap();
         let mut samples = Vec::new();
         for _ in 0..50 {
-            let (_, rtt) = invoker.invoke_sync("echo", &input, 8, &output).unwrap();
+            let (_, rtt) = session.invoke_raw("echo", &input, 8, &output).unwrap();
             samples.push(rtt.as_micros_f64());
         }
         samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -1694,22 +1359,13 @@ mod tests {
             RFaasConfig::default(),
         );
         manager.register_executor(&executor);
-        let mut invoker = Invoker::new(
-            &fabric,
-            "client",
-            &manager,
-            RFaasConfig::default(),
-            InvokerOptions::default(),
-        );
 
         // The manager grants the lease (it does not validate packages), then
         // the allocator rejects the unknown package. Regression: the granted
         // lease and its reserved resources must be released, not leaked.
-        let err = invoker
-            .allocate(
-                LeaseRequest::single_worker("missing-pkg").with_cores(2),
-                PollingMode::Hot,
-            )
+        let err = Session::builder(&fabric, "client", &manager, "missing-pkg")
+            .workers(2)
+            .connect()
             .unwrap_err();
         assert!(matches!(err, RFaasError::UnknownPackage(_)));
         assert_eq!(manager.lease_count(), 0);
@@ -1717,11 +1373,9 @@ mod tests {
 
         // Same contract when the executor-side worker spawn fails.
         executor.allocator().inject_spawn_failure(0);
-        let err = invoker
-            .allocate(
-                LeaseRequest::single_worker("pkg").with_cores(2),
-                PollingMode::Hot,
-            )
+        let err = Session::builder(&fabric, "client", &manager, "pkg")
+            .workers(2)
+            .connect()
             .unwrap_err();
         assert!(matches!(err, RFaasError::Internal(_)));
         assert_eq!(manager.lease_count(), 0);
@@ -1731,28 +1385,21 @@ mod tests {
 
     #[test]
     fn extend_lease_requires_an_allocation() {
-        let fabric = Fabric::with_defaults();
-        let manager = ResourceManager::new(&fabric, RFaasConfig::default());
-        let invoker = Invoker::new(
-            &fabric,
-            "c",
-            &manager,
-            RFaasConfig::default(),
-            InvokerOptions::default(),
-        );
+        let (_fabric, _manager, session) = platform(1);
+        session.deallocate();
         assert!(matches!(
-            invoker.extend_lease(SimDuration::from_secs(60)),
+            session.extend_lease(SimDuration::from_secs(60)),
             Err(RFaasError::NotAllocated)
         ));
     }
 
     #[test]
     fn extend_lease_pushes_expiry_and_updates_executor_deadline() {
-        let (_fabric, manager, invoker) = platform(1);
-        let before = invoker.lease().unwrap();
-        let new_expiry = invoker.extend_lease(SimDuration::from_secs(3600)).unwrap();
+        let (_fabric, manager, session) = platform(1);
+        let before = session.lease().unwrap();
+        let new_expiry = session.extend_lease(SimDuration::from_secs(3600)).unwrap();
         assert!(new_expiry > before.expires_at);
-        let after = invoker.lease().unwrap();
+        let after = session.lease().unwrap();
         assert_eq!(after.expires_at, new_expiry);
         assert_eq!(manager.lease(after.id).unwrap().expires_at, new_expiry);
         // The executor-side process deadline moved with the lease.
@@ -1762,70 +1409,69 @@ mod tests {
 
     #[test]
     fn failing_function_propagates_error() {
-        let (_fabric, _manager, invoker) = platform(1);
-        let alloc = invoker.allocator();
+        let (_fabric, _manager, session) = platform(1);
+        let alloc = session.allocator();
         let input = alloc.input(16);
         let output = alloc.output(16);
         input.write_payload(&[1]).unwrap();
-        let err = invoker
-            .invoke_sync("always-fails", &input, 1, &output)
+        let err = session
+            .invoke_raw("always-fails", &input, 1, &output)
             .unwrap_err();
         assert!(matches!(err, RFaasError::Function(_)));
     }
 
     #[test]
     fn unknown_function_is_rejected_client_side() {
-        let (_fabric, _manager, invoker) = platform(1);
-        let alloc = invoker.allocator();
+        let (_fabric, _manager, session) = platform(1);
+        let alloc = session.allocator();
         let input = alloc.input(16);
         let output = alloc.output(16);
-        let err = invoker.submit("nope", &input, 0, &output).unwrap_err();
+        let err = session.invoke_raw("nope", &input, 0, &output).unwrap_err();
         assert!(matches!(err, RFaasError::UnknownFunction(_)));
     }
 
     #[test]
     fn submit_without_allocation_fails() {
-        let fabric = Fabric::with_defaults();
-        let manager = ResourceManager::new(&fabric, RFaasConfig::default());
-        let invoker = Invoker::new(
-            &fabric,
-            "c",
-            &manager,
-            RFaasConfig::default(),
-            InvokerOptions::default(),
-        );
-        let alloc = invoker.allocator();
+        let (_fabric, _manager, session) = platform(1);
+        session.deallocate();
+        let alloc = session.allocator();
         let input = alloc.input(16);
         let output = alloc.output(16);
         assert!(matches!(
-            invoker.submit("echo", &input, 0, &output),
+            session.invoke_raw("echo", &input, 0, &output),
             Err(RFaasError::NotAllocated)
         ));
     }
 
     #[test]
     fn oversized_payload_is_rejected_before_transmission() {
-        let (_fabric, _manager, invoker) = platform(1);
-        let alloc = invoker.allocator();
+        let (_fabric, _manager, session) = platform(1);
+        let alloc = session.allocator();
         let huge = RFaasConfig::default().max_payload_bytes + 1024;
         let input = alloc.input(huge);
         let output = alloc.output(64);
-        let err = invoker.submit("echo", &input, huge, &output).unwrap_err();
+        let err = session
+            .invoke_raw("echo", &input, huge, &output)
+            .unwrap_err();
         assert!(matches!(err, RFaasError::PayloadTooLarge { .. }));
     }
 
     #[test]
     fn parallel_invocations_on_multiple_workers() {
-        let (_fabric, _manager, invoker) = platform(4);
-        assert_eq!(invoker.worker_count(), 4);
-        let alloc = invoker.allocator();
+        let (_fabric, _manager, session) = platform(4);
+        assert_eq!(session.worker_count(), 4);
+        let alloc = session.allocator();
         let inputs: Vec<Buffer> = (0..4).map(|_| alloc.input(1024)).collect();
         let outputs: Vec<Buffer> = (0..4).map(|_| alloc.output(1024)).collect();
         let mut futures = Vec::new();
         for (i, (input, output)) in inputs.iter().zip(outputs.iter()).enumerate() {
             let payload = vec![i as u8; 256];
             input.write_payload(&payload).unwrap();
-            futures.push(invoker.submit("echo", input, 256, output).unwrap());
+            futures.push(
+                session
+                    .submit(&raw_spec("echo", input, 256, output))
+                    .unwrap(),
+            );
         }
         for (i, future) in futures.into_iter().enumerate() {
             let len = future.wait().unwrap();
@@ -1836,15 +1482,15 @@ mod tests {
 
     #[test]
     fn results_land_directly_in_output_buffer() {
-        let (_fabric, _manager, invoker) = platform(1);
-        let alloc = invoker.allocator();
+        let (_fabric, _manager, session) = platform(1);
+        let alloc = session.allocator();
         let input = alloc.input(4096);
         let output = alloc.output(4096);
         let data: Vec<f64> = (0..256).map(|i| i as f64 * 0.5).collect();
-        let len = input.write_f64(&data).unwrap();
-        let (out_len, _) = invoker.invoke_sync("echo", &input, len, &output).unwrap();
+        let len = input.write_encoded(&data[..]).unwrap();
+        let (out_len, _) = session.invoke_raw("echo", &input, len, &output).unwrap();
         assert_eq!(out_len, len);
-        assert_eq!(output.read_f64(out_len).unwrap(), data);
+        assert_eq!(output.read_decoded::<[f64]>(out_len).unwrap(), data);
     }
 
     #[test]
@@ -1852,19 +1498,8 @@ mod tests {
         // Regression: the connect deadline was a hardcoded ten seconds; a
         // worker that never accepts must now fail within the configured
         // timeout with a typed error, not hang or panic.
-        let fabric = Fabric::with_defaults();
-        let manager = ResourceManager::new(&fabric, RFaasConfig::default());
-        let config = RFaasConfig {
-            connect_timeout: std::time::Duration::from_millis(50),
-            ..Default::default()
-        };
-        let invoker = Invoker::new(
-            &fabric,
-            "client-0",
-            &manager,
-            config,
-            InvokerOptions::default(),
-        );
+        let (fabric, _manager, mut session) = platform(1);
+        session.config.connect_timeout = std::time::Duration::from_millis(50);
         // A listener nobody ever accepts on: the client's connect request
         // sits in the accept queue until the client gives up.
         let _silent = rdma_fabric::Listener::bind(&fabric, "rfaas://dead-node/1/1");
@@ -1873,7 +1508,7 @@ mod tests {
             max_payload: 4096,
         };
         let started = std::time::Instant::now();
-        let err = match invoker.connect_workers(std::slice::from_ref(&worker), "dead-node") {
+        let err = match session.connect_workers(std::slice::from_ref(&worker), "dead-node") {
             Ok(_) => panic!("connect to a silent worker unexpectedly succeeded"),
             Err(err) => err,
         };
@@ -1887,5 +1522,24 @@ mod tests {
             "expected typed connect timeout, got {err:?}"
         );
         assert!(started.elapsed() < std::time::Duration::from_secs(5));
+    }
+
+    #[test]
+    fn dropped_futures_return_their_reservation_and_result() {
+        // Regression: a future dropped without a wait used to keep its
+        // connection counted as in flight and its result stashed until the
+        // session closed.
+        let (_fabric, _manager, session) = platform(1);
+        let echo = session.function::<[u8], [u8]>("echo").unwrap();
+        for round in 0..100u8 {
+            drop(echo.submit(&[round; 8][..]).unwrap());
+            assert_eq!(echo.invoke(&[round; 8][..]).unwrap(), vec![round; 8]);
+        }
+        let active = session.active.lock();
+        let connection = &active.as_ref().unwrap().connections[0];
+        assert_eq!(connection.outstanding.load(Ordering::Relaxed), 0);
+        let stash = connection.completed.lock();
+        assert!(stash.results.is_empty());
+        assert!(stash.abandoned.is_empty());
     }
 }

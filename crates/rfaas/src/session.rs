@@ -16,23 +16,24 @@
 //! (the invocation-spectrum tests, the latency microbenchmarks) pair
 //! [`Session::allocator`] with [`Session::invoke_raw`].
 //!
-//! Lease-recovery semantics are first-class here: the allocation epoch each
-//! submission observed and the transparent re-allocation budget flow through
-//! [`TypedFuture`] and [`CompletionSet`], and the budget is a knob on the
-//! builder ([`AllocationBuilder::recovery_budget`]).
+//! Lease recovery is first-class here: the allocation epoch each submission
+//! observed flows through [`TypedFuture`] and [`CompletionSet`], and a lease
+//! that expires or an executor that disappears is transparently replaced up
+//! to three times per invocation before the original error surfaces.
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use rdma_fabric::{ConnectionPool, Fabric};
+use rdma_fabric::{ConnectionPool, DatagramSocket, Fabric, ProtectionDomain};
 use sandbox::SandboxType;
 use sim_core::sync::{ranks, OrderedMutex};
 use sim_core::{SimDuration, SimTime, VirtualClock};
 
 use crate::client::{
-    BatchStats, Buffer, BufferAllocator, ColdStartBreakdown, ConnectionPlaneStats,
-    InvocationFuture, InvocationSpec, Invoker, InvokerOptions,
+    ActiveAllocation, BatchStats, Buffer, BufferAllocator, ColdStartBreakdown,
+    ConnectionPlaneStats, InvocationFuture, InvocationSpec,
 };
 use crate::codec::Codec;
 use crate::config::{PollingMode, RFaasConfig};
@@ -54,7 +55,7 @@ const MIN_OUTPUT_CAPACITY: usize = 4096;
 const MAX_POOLED_PAIRS: usize = 64;
 
 /// Fluent builder for a [`Session`]: lease shape, sandbox, polling mode and
-/// recovery policy in one place.
+/// shared client resources in one place.
 #[derive(Debug, Clone)]
 pub struct AllocationBuilder {
     fabric: Arc<Fabric>,
@@ -68,15 +69,20 @@ pub struct AllocationBuilder {
     lease_timeout: Option<SimDuration>,
     mode: PollingMode,
     start_at: Option<SimTime>,
-    connect_timeout: Option<std::time::Duration>,
-    invoker: InvokerOptions,
+    policy: AllocationPolicy,
+    reactor: Option<Reactor>,
+    clock: Option<Arc<VirtualClock>>,
+    pool: Option<ConnectionPool>,
+    state_plane: Option<StatePlane>,
 }
 
 impl AllocationBuilder {
     /// Start building a session for `client_node` against `manager`,
     /// requesting the deployed code package `package`. Defaults: one worker,
-    /// 512 MiB, bare-metal sandbox, hot polling, the manager's configuration
-    /// defaults for lease timeout, and the standard recovery budget.
+    /// 512 MiB, bare-metal sandbox, hot polling, a cold-spawn allocation
+    /// policy, and the manager's configuration defaults for lease timeout.
+    /// Reactor, clock and connection pool are private to the session unless
+    /// shared through the builder.
     pub fn new(
         fabric: &Arc<Fabric>,
         client_node: &str,
@@ -95,13 +101,16 @@ impl AllocationBuilder {
             lease_timeout: None,
             mode: PollingMode::Hot,
             start_at: None,
-            connect_timeout: None,
-            invoker: InvokerOptions::default(),
+            policy: AllocationPolicy::default(),
+            reactor: None,
+            clock: None,
+            pool: None,
+            state_plane: None,
         }
     }
 
     /// Use an explicit platform configuration (cost calibration, payload
-    /// limits) instead of the default paper calibration.
+    /// limits, connect timeout) instead of the default paper calibration.
     pub fn config(mut self, config: RFaasConfig) -> AllocationBuilder {
         self.config = config;
         self
@@ -143,16 +152,9 @@ impl AllocationBuilder {
     /// ([`AllocationPolicy::Fork`]), or a warm-pool resume
     /// ([`AllocationPolicy::WarmPool`]). Fork and warm-pool silently degrade
     /// to a cold spawn when no suitable parent is parked on the chosen
-    /// executor.
+    /// executor. Re-allocations after a lost lease use the same policy.
     pub fn allocation_policy(mut self, policy: AllocationPolicy) -> AllocationBuilder {
-        self.invoker.policy = policy;
-        self
-    }
-
-    /// Maximum transparent lease re-allocations per invocation before the
-    /// failure surfaces (default 3).
-    pub fn recovery_budget(mut self, budget: u32) -> AllocationBuilder {
-        self.invoker.recovery_budget = budget;
+        self.policy = policy;
         self
     }
 
@@ -168,14 +170,14 @@ impl AllocationBuilder {
     /// single client thread sustains in-flight invocations across all of
     /// them at once.
     pub fn reactor(mut self, reactor: &Reactor) -> AllocationBuilder {
-        self.invoker.reactor = Some(reactor.clone());
+        self.reactor = Some(reactor.clone());
         self
     }
 
     /// Share a virtual clock with other sessions (they model one client
     /// thread, whose virtual time advances across all of them).
     pub fn clock(mut self, clock: &Arc<VirtualClock>) -> AllocationBuilder {
-        self.invoker.clock = Some(Arc::clone(clock));
+        self.clock = Some(Arc::clone(clock));
         self
     }
 
@@ -184,14 +186,7 @@ impl AllocationBuilder {
     /// earlier leases to the same executor node, so re-allocation after
     /// churn pays the warm setup tier instead of the full handshake.
     pub fn connection_pool(mut self, pool: &ConnectionPool) -> AllocationBuilder {
-        self.invoker.pool = Some(pool.clone());
-        self
-    }
-
-    /// Wall-clock deadline for each worker connection (and the hello that
-    /// follows). Overrides [`RFaasConfig::connect_timeout`].
-    pub fn connect_timeout(mut self, timeout: std::time::Duration) -> AllocationBuilder {
-        self.connect_timeout = Some(timeout);
+        self.pool = Some(pool.clone());
         self
     }
 
@@ -201,26 +196,40 @@ impl AllocationBuilder {
     /// is bound to the same plane at allocation time (and re-bound across
     /// transparent re-allocations).
     pub fn state_plane(mut self, plane: &StatePlane) -> AllocationBuilder {
-        self.invoker.state_plane = Some(plane.clone());
+        self.state_plane = Some(plane.clone());
         self
     }
 
     /// Acquire the lease, spin up the workers and connect to them (the cold
     /// path of Fig. 5/6), returning the live [`Session`].
     pub fn connect(self) -> Result<Session> {
-        let mut config = self.config;
-        if let Some(timeout) = self.connect_timeout {
-            config.connect_timeout = timeout;
-        }
-        let mut invoker = Invoker::new(
-            &self.fabric,
-            &self.client_node,
-            &self.manager,
-            config,
-            self.invoker,
-        );
+        let pd = ProtectionDomain::new();
+        let session = Session {
+            fabric: self.fabric,
+            clock: self.clock.unwrap_or_else(VirtualClock::shared),
+            reactor: self.reactor.unwrap_or_default(),
+            buffers: BufferPool::new(BufferAllocator { pd: pd.clone() }),
+            pd,
+            node_name: self.client_node,
+            config: self.config,
+            manager: self.manager,
+            connection_pool: self.pool.unwrap_or_default(),
+            control: OrderedMutex::new(ranks::CLIENT_CONTROL, None),
+            connections_opened: AtomicU64::new(0),
+            active: OrderedMutex::new(ranks::CLIENT_ACTIVE, None),
+            last_request: OrderedMutex::new(ranks::CLIENT_LAST_REQUEST, None),
+            recovery_lock: OrderedMutex::new(ranks::CLIENT_RECOVERY, ()),
+            allocation_epoch: AtomicU64::new(0),
+            next_invocation: AtomicU32::new(1),
+            round_robin: AtomicUsize::new(0),
+            cold_start: OrderedMutex::new(ranks::CLIENT_COLD_START, None),
+            recoveries: AtomicU32::new(0),
+            policy: self.policy,
+            state_plane: self.state_plane,
+            session_state: OrderedMutex::new(ranks::CLIENT_SESSION_STATE, None),
+        };
         if let Some(at) = self.start_at {
-            invoker.clock().advance_to(at);
+            session.clock.advance_to(at);
         }
         let mut request = LeaseRequest::single_worker(&self.package)
             .with_cores(self.cores)
@@ -229,11 +238,8 @@ impl AllocationBuilder {
         if let Some(timeout) = self.lease_timeout {
             request.timeout = timeout;
         }
-        invoker.allocate(request, self.mode)?;
-        Ok(Session {
-            pool: BufferPool::new(invoker.allocator()),
-            invoker,
-        })
+        session.allocate(request, self.mode)?;
+        Ok(session)
     }
 }
 
@@ -297,21 +303,69 @@ impl BufferPool {
     }
 }
 
-/// One leased allocation and the typed invocation surface on top of it.
+/// One leased allocation and the typed invocation surface on top of it (the
+/// `rfaas::invoker` of Listing 2).
 ///
-/// A session owns the client-side invoker (lease, worker connections,
-/// recovery machinery) plus a pool of registered buffers shared by every
-/// [`FunctionHandle`] it hands out. Dropping the session releases the lease.
+/// A session owns the lease, the direct worker connections, the recovery
+/// state and a pool of registered buffers shared by every [`FunctionHandle`]
+/// it hands out. Its transport internals (allocation, connection setup,
+/// posting, recovery) live in [`crate::client`]. Dropping the session
+/// releases the lease.
 pub struct Session {
-    invoker: Invoker,
-    pool: BufferPool,
+    pub(crate) fabric: Arc<Fabric>,
+    pub(crate) clock: Arc<VirtualClock>,
+    /// Every worker connection is registered with this reactor and one
+    /// [`Reactor::turn`] pumps them all.
+    pub(crate) reactor: Reactor,
+    pub(crate) pd: ProtectionDomain,
+    pub(crate) node_name: String,
+    pub(crate) config: RFaasConfig,
+    pub(crate) manager: Arc<ResourceManager>,
+    /// Warmth pool worker connects draw from; shared across sessions (see
+    /// [`AllocationBuilder::connection_pool`]) so lease churn back to the
+    /// same executor reuses the warm re-establishment tier.
+    pub(crate) connection_pool: ConnectionPool,
+    /// Datagram socket for first contact with the resource manager, bound
+    /// lazily on the first allocation and reused for every re-allocation.
+    pub(crate) control: OrderedMutex<Option<DatagramSocket>>,
+    pub(crate) connections_opened: AtomicU64,
+    pub(crate) active: OrderedMutex<Option<ActiveAllocation>>,
+    /// The request that produced the current lease, replayed by the
+    /// transparent recovery path (Sec. III-B: clients re-allocate when an
+    /// executor disappears or a lease expires).
+    pub(crate) last_request: OrderedMutex<Option<(LeaseRequest, PollingMode)>>,
+    /// Serialises recovery: two futures discovering the same dead
+    /// allocation must produce one re-allocation, not two (the loser would
+    /// overwrite — and leak — the winner's allocation).
+    pub(crate) recovery_lock: OrderedMutex<()>,
+    pub(crate) allocation_epoch: AtomicU64,
+    pub(crate) next_invocation: AtomicU32,
+    pub(crate) round_robin: AtomicUsize,
+    pub(crate) cold_start: OrderedMutex<Option<ColdStartBreakdown>>,
+    pub(crate) recoveries: AtomicU32,
+    /// How allocations (re-allocations included) provision the sandbox.
+    pub(crate) policy: AllocationPolicy,
+    /// The state plane every allocation attaches the executor process to.
+    pub(crate) state_plane: Option<StatePlane>,
+    /// The session-side caching state client, attached lazily on the first
+    /// allocation and kept across re-allocations (the cache region and its
+    /// datagram endpoint belong to the client node, not to any lease).
+    pub(crate) session_state: OrderedMutex<Option<StateClient>>,
+    buffers: BufferPool,
 }
 
 impl std::fmt::Debug for Session {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")
-            .field("invoker", &self.invoker)
+            .field("node", &self.node_name)
+            .field("workers", &self.worker_count())
             .finish()
+    }
+}
+
+impl Drop for Session {
+    fn drop(&mut self) {
+        self.deallocate();
     }
 }
 
@@ -326,7 +380,7 @@ impl Session {
         AllocationBuilder::new(fabric, client_node, manager, package)
     }
 
-    /// Resolve `name` in the session's function registry and return a typed
+    /// Resolve `name` in the allocated code package and return a typed
     /// handle for it. Unknown functions fail here, at handle creation, not at
     /// the first invocation.
     pub fn function<I, O>(&self, name: &str) -> Result<FunctionHandle<'_, I, O>>
@@ -334,20 +388,20 @@ impl Session {
         I: Codec + ?Sized,
         O: Codec + ?Sized,
     {
-        if !self.invoker.has_function(name) {
+        let known = self
+            .active
+            .lock()
+            .as_ref()
+            .is_some_and(|a| a.package.function_by_name(name).is_some());
+        if !known {
             return Err(RFaasError::UnknownFunction(name.to_string()));
         }
         Ok(FunctionHandle {
             session: self,
-            name: name.to_string(),
+            name: Arc::from(name),
             output_capacity: None,
             _typed: PhantomData,
         })
-    }
-
-    /// Names of every function the allocated code package serves.
-    pub fn function_names(&self) -> Vec<String> {
-        self.invoker.function_names()
     }
 
     /// Invoke `function` on `payload_len` bytes already written into the
@@ -363,44 +417,65 @@ impl Session {
         payload_len: usize,
         output: &Buffer,
     ) -> Result<(usize, SimDuration)> {
-        self.invoker
-            .invoke_sync(function, input, payload_len, output)
+        let start = self.clock.now();
+        let future = self.submit(&InvocationSpec {
+            worker: None,
+            function: Arc::from(function),
+            input: input.clone(),
+            payload_len,
+            output: output.clone(),
+        })?;
+        let len = future.wait()?;
+        Ok((len, self.clock.now().saturating_since(start)))
     }
 
-    /// The session's virtual clock.
+    /// The session's virtual clock (latency measurements are deltas of it).
     pub fn clock(&self) -> &Arc<VirtualClock> {
-        self.invoker.clock()
+        &self.clock
     }
 
     /// Buffer allocator bound to the session's protection domain (for
     /// [`Session::invoke_raw`] alongside the typed surface).
     pub fn allocator(&self) -> BufferAllocator {
-        self.invoker.allocator()
+        BufferAllocator {
+            pd: self.pd.clone(),
+        }
     }
 
     /// The active lease, if any.
     pub fn lease(&self) -> Option<Lease> {
-        self.invoker.lease()
+        self.active.lock().as_ref().map(|a| a.lease.clone())
     }
 
-    /// Cold-start breakdown of the session's allocation.
+    /// Cold-start breakdown of the session's last allocation.
     pub fn cold_start(&self) -> Option<ColdStartBreakdown> {
-        self.invoker.cold_start()
+        self.cold_start.lock().clone()
     }
 
     /// One unified snapshot of the session's runtime counters: the
     /// connection plane, the fork fault state (when provisioned by
     /// [`AllocationPolicy::Fork`]), both sides of the state plane (when one
-    /// is attached), worker count and transparent recoveries. This replaces
-    /// the per-subsystem accessors that used to accrete on the session.
+    /// is attached), worker count and transparent recoveries.
     pub fn stats(&self) -> SessionStats {
+        let pool = self.connection_pool.stats();
+        let state_session = self.state().stats();
+        let active = self.active.lock();
+        let process = active
+            .as_ref()
+            .map(|a| (a.executor.allocator(), a.process_id));
         SessionStats {
-            connections: self.invoker.connection_stats(),
-            fork: self.invoker.fork_state(),
-            state_session: self.state().stats(),
-            state_executor: self.invoker.executor_state_stats(),
-            workers: self.invoker.worker_count(),
-            recoveries: self.invoker.recoveries(),
+            connections: ConnectionPlaneStats {
+                connections_opened: self.connections_opened.load(Ordering::Relaxed),
+                pool_hits: pool.hits,
+                pool_misses: pool.misses,
+                srq_depth_high_watermark: process
+                    .map_or(0, |(allocator, id)| allocator.srq_high_watermark(id)),
+            },
+            fork: process.and_then(|(allocator, id)| allocator.fork_state(id)),
+            state_session,
+            state_executor: process.and_then(|(allocator, id)| allocator.state_client_stats(id)),
+            workers: active.as_ref().map_or(0, |a| a.connections.len()),
+            recoveries: self.recoveries(),
         }
     }
 
@@ -408,31 +483,60 @@ impl Session {
     /// [`AllocationBuilder::state_plane`]). Operations fail with
     /// [`RFaasError::StatePlane`] when no plane is attached.
     pub fn state(&self) -> SessionState<'_> {
-        SessionState {
-            invoker: &self.invoker,
-        }
+        SessionState { session: self }
     }
 
     /// Number of connected executor workers.
     pub fn worker_count(&self) -> usize {
-        self.invoker.worker_count()
+        self.active
+            .lock()
+            .as_ref()
+            .map_or(0, |a| a.connections.len())
     }
 
     /// How many times the session transparently re-allocated after a lease
     /// expiry or executor loss.
     pub fn recoveries(&self) -> u32 {
-        self.invoker.recoveries()
+        self.recoveries.load(Ordering::Relaxed)
     }
 
-    /// Renew the lease, pushing its expiry to `now + extension`; returns the
-    /// new expiry instant.
+    /// Renew the lease: a manager round trip pushing the expiry to
+    /// `now + extension` (charged at the lease-renewal processing cost), then
+    /// the executor-side deadline update, so long-running clients keep their
+    /// hot workers. Returns the new expiry instant.
     pub fn extend_lease(&self, extension: SimDuration) -> Result<SimTime> {
-        self.invoker.extend_lease(extension)
+        let (lease_id, executor) = {
+            let active = self.active.lock();
+            let active = active.as_ref().ok_or(RFaasError::NotAllocated)?;
+            (active.lease.id, Arc::clone(&active.executor))
+        };
+        // Submitting the renewal request costs the same as submitting an
+        // allocation; the manager then charges its processing cost.
+        self.clock.advance(self.config.allocation_submit_cost);
+        let renewed = self.manager.renew_lease(lease_id, extension, &self.clock)?;
+        if executor
+            .allocator()
+            .extend_lease(lease_id, renewed.expires_at)
+            == 0
+        {
+            // The executor process is already gone (idle-reaped or expired
+            // under us): the manager-side renewal succeeded but there is no
+            // worker left to keep hot. Surface it so the caller re-allocates
+            // instead of invoking into a dead connection.
+            return Err(RFaasError::ExecutorLost(renewed.executor_node));
+        }
+        if let Some(active) = self.active.lock().as_mut() {
+            if active.lease.id == lease_id {
+                active.lease = renewed.clone();
+            }
+        }
+        Ok(renewed.expires_at)
     }
 
     /// Release the lease and all executor resources.
-    pub fn close(mut self) -> Result<()> {
-        self.invoker.deallocate()
+    pub fn close(self) -> Result<()> {
+        self.deallocate();
+        Ok(())
     }
 }
 
@@ -465,7 +569,7 @@ pub struct SessionStats {
 /// through a [`Codec`].
 #[derive(Clone, Copy)]
 pub struct SessionState<'s> {
-    invoker: &'s Invoker,
+    session: &'s Session,
 }
 
 impl std::fmt::Debug for SessionState<'_> {
@@ -479,7 +583,7 @@ impl std::fmt::Debug for SessionState<'_> {
 impl SessionState<'_> {
     /// Whether a state plane is attached to the session.
     fn is_attached(&self) -> bool {
-        self.invoker.state_plane.is_some()
+        self.session.state_plane.is_some()
     }
 
     /// Run `f` over the session's state client, surfacing the missing-plane
@@ -488,7 +592,7 @@ impl SessionState<'_> {
         &self,
         f: impl FnOnce(&mut StateClient) -> std::result::Result<R, StateError>,
     ) -> Result<R> {
-        match self.invoker.session_state.lock().as_mut() {
+        match self.session.session_state.lock().as_mut() {
             Some(client) => f(client).map_err(RFaasError::StatePlane),
             None => Err(no_state_plane()),
         }
@@ -497,7 +601,7 @@ impl SessionState<'_> {
     /// Whether `key` currently exists in the plane (false when no plane is
     /// attached).
     pub fn contains(&self, key: &str) -> bool {
-        self.invoker
+        self.session
             .state_plane
             .as_ref()
             .is_some_and(|p| p.contains(key))
@@ -507,16 +611,6 @@ impl SessionState<'_> {
     /// cache is write-through, so a following `get` is a local hit).
     pub fn put(&self, key: &str, value: &[u8]) -> Result<()> {
         self.with_client(|c| c.put(key, value))
-    }
-
-    /// Encode `value` through its [`Codec`] and store it under `key`.
-    pub fn put_encoded<C>(&self, key: &str, value: &C) -> Result<()>
-    where
-        C: Codec + ?Sized,
-    {
-        let mut buf = vec![0u8; value.encoded_len()];
-        value.encode_into(&mut buf)?;
-        self.put(key, &buf)
     }
 
     /// Read `key` into an owned vector (hot keys come straight out of the
@@ -543,7 +637,7 @@ impl SessionState<'_> {
 
     /// Session-side cache counters (`None` before the first allocation).
     pub fn stats(&self) -> Option<StateClientStats> {
-        self.invoker
+        self.session
             .session_state
             .lock()
             .as_ref()
@@ -566,7 +660,9 @@ type HandleTypes<I, O> = PhantomData<(fn(&I), fn() -> O)>;
 /// and submission all derive from the input/output [`Codec`]s.
 pub struct FunctionHandle<'s, I: ?Sized, O: ?Sized> {
     session: &'s Session,
-    name: String,
+    /// Shared with every spec the handle builds, so a submission copies no
+    /// string.
+    name: Arc<str>,
     output_capacity: Option<usize>,
     _typed: HandleTypes<I, O>,
 }
@@ -583,7 +679,7 @@ impl<I: ?Sized, O: ?Sized> Clone for FunctionHandle<'_, I, O> {
     fn clone(&self) -> Self {
         FunctionHandle {
             session: self.session,
-            name: self.name.clone(),
+            name: Arc::clone(&self.name),
             output_capacity: self.output_capacity,
             _typed: PhantomData,
         }
@@ -629,7 +725,7 @@ where
                 )));
             }
         }
-        self.session.invoker.bind_state_spec(&self.name, spec)?;
+        self.session.bind_state_spec(&self.name, spec)?;
         Ok(self)
     }
 
@@ -640,11 +736,12 @@ where
         let output_capacity = self
             .output_capacity
             .unwrap_or_else(|| payload_len.max(MIN_OUTPUT_CAPACITY));
-        let (input_buffer, output_buffer) = self.session.pool.acquire(payload_len, output_capacity);
+        let (input_buffer, output_buffer) =
+            self.session.buffers.acquire(payload_len, output_capacity);
         input_buffer.write_encoded(input)?;
         Ok(InvocationSpec {
             worker,
-            function: self.name.clone(),
+            function: Arc::clone(&self.name),
             input: input_buffer,
             payload_len,
             output: output_buffer,
@@ -652,22 +749,20 @@ where
     }
 
     /// Submit asynchronously; the returned future resolves to the decoded
-    /// result.
+    /// result. Dropping the future without waiting abandons the invocation.
     pub fn submit(&self, input: &I) -> Result<TypedFuture<'s, O>> {
-        let spec = self.spec_for(None, input)?;
-        Ok(TypedFuture {
-            future: self.session.invoker.submit_spec(spec)?,
-            session: self.session,
-            _typed: PhantomData,
-        })
+        self.submit_on(None, input)
     }
 
     /// Submit asynchronously to a specific worker (explicit partitioning).
     pub fn submit_to_worker(&self, worker: usize, input: &I) -> Result<TypedFuture<'s, O>> {
-        let spec = self.spec_for(Some(worker), input)?;
+        self.submit_on(Some(worker), input)
+    }
+
+    fn submit_on(&self, worker: Option<usize>, input: &I) -> Result<TypedFuture<'s, O>> {
+        let spec = self.spec_for(worker, input)?;
         Ok(TypedFuture {
-            future: self.session.invoker.submit_spec(spec)?,
-            session: self.session,
+            future: self.session.submit(&spec)?,
             _typed: PhantomData,
         })
     }
@@ -711,14 +806,12 @@ where
         if workers == 0 {
             return Err(RFaasError::NotAllocated);
         }
-        let mut specs = Vec::new();
+        let mut queued = VecDeque::new();
         for (index, input) in inputs.into_iter().enumerate() {
-            specs.push(self.spec_for(Some(index % workers), input)?);
+            queued.push_back((index, self.spec_for(Some(index % workers), input)?));
         }
-        let total = specs.len();
-        let queued: VecDeque<(usize, InvocationSpec)> = specs.into_iter().enumerate().collect();
         let mut set = CompletionSet {
-            entries: (0..total).map(|_| None).collect(),
+            entries: (0..queued.len()).map(|_| None).collect(),
             queued,
             wave: workers,
             session: self.session,
@@ -733,10 +826,11 @@ where
 /// The in-flight result of one typed submission; waiting decodes the output
 /// through `O`'s [`Codec`] and recycles the invocation's buffers into the
 /// session pool. Rejected invocations are transparently redirected to another
-/// worker, and lost or expired leases transparently re-allocated.
+/// worker, and lost or expired leases transparently re-allocated. Dropping
+/// the future without waiting abandons the invocation: its result is
+/// discarded on arrival.
 pub struct TypedFuture<'s, O: ?Sized> {
     future: InvocationFuture<'s>,
-    session: &'s Session,
     _typed: PhantomData<fn() -> O>,
 }
 
@@ -772,10 +866,11 @@ where
     /// Block until the result is available, decode it, and return the
     /// invocation's buffers to the session pool.
     pub fn wait(self) -> Result<O::Owned> {
+        let session = self.future.session();
         let buffers = self.future.buffers();
         let len = self.future.wait()?;
         let value = buffers.1.read_decoded::<O>(len)?;
-        self.session.pool.release(buffers);
+        session.buffers.release(buffers);
         Ok(value)
     }
 }
@@ -788,7 +883,7 @@ where
 /// scatter holds more inputs than workers, only one wave (one invocation
 /// per worker) is in flight at a time — each worker has a single input
 /// slot — and the next wave posts automatically once the current one has
-/// been fully gathered.
+/// been fully gathered. Dropping the set abandons whatever is in flight.
 pub struct CompletionSet<'s, O: ?Sized> {
     /// One slot per input; `Some` while that invocation is in flight,
     /// `None` before its wave posts and after its result is gathered.
@@ -845,23 +940,22 @@ impl<O: ?Sized> CompletionSet<'_, O> {
             return Ok(());
         }
         let take = self.wave.min(self.queued.len());
-        let batch: Vec<(usize, InvocationSpec)> = self.queued.drain(..take).collect();
-        let specs: Vec<InvocationSpec> = batch.iter().map(|(_, s)| s.clone()).collect();
-        let (futures, stats) = self.session.invoker.submit_specs(&specs)?;
-        let reactor = self.session.invoker.reactor();
-        for ((index, _), future) in batch.into_iter().zip(futures) {
+        let (indices, specs): (Vec<usize>, Vec<InvocationSpec>) = self.queued.drain(..take).unzip();
+        let (futures, stats) = self.session.submit_specs(&specs)?;
+        for (index, future) in indices.into_iter().zip(futures) {
             // Arm the continuation, then re-check the stash: a concurrent
             // reactor turn may have pumped this result before the
             // continuation existed, in which case the ready push happens
             // here (a duplicate hint is harmless, a missing one would hang).
             let (token, id) = future.reactor_key();
-            reactor.register_continuation(token, id, &self.ready, index);
+            self.session
+                .reactor
+                .register_continuation(token, id, &self.ready, index);
             if future.has_stashed_result() {
                 self.ready.lock().push_back(index);
             }
             self.entries[index] = Some(TypedFuture {
                 future,
-                session: self.session,
                 _typed: PhantomData,
             });
         }
@@ -877,11 +971,11 @@ impl<O: ?Sized> Drop for CompletionSet<'_, O> {
     fn drop(&mut self) {
         // Continuations of never-gathered entries must not outlive the set:
         // their ready queue dies with it, and the 24-bit invocation ids
-        // eventually wrap around onto fresh submissions.
-        let reactor = self.session.invoker.reactor();
+        // eventually wrap around onto fresh submissions. The entries
+        // themselves abandon their invocations as they drop.
         for entry in self.entries.iter().flatten() {
             let (token, id) = entry.future.reactor_key();
-            reactor.cancel_continuation(token, id);
+            self.session.reactor.cancel_continuation(token, id);
         }
     }
 }
@@ -894,10 +988,7 @@ where
     /// now moot) and gather its result.
     fn gather(&self, future: TypedFuture<'s, O>) -> Result<O::Owned> {
         let (token, id) = future.future.reactor_key();
-        self.session
-            .invoker
-            .reactor()
-            .cancel_continuation(token, id);
+        self.session.reactor.cancel_continuation(token, id);
         future.wait()
     }
 
@@ -928,7 +1019,7 @@ where
             // sweep can also mean a connection died (its continuation will
             // never fire) — fall back to a blocking gather on the first such
             // entry, whose wait() runs the transparent recovery path.
-            if self.session.invoker.reactor().turn() == 0 {
+            if self.session.reactor.turn() == 0 {
                 let lost = (0..self.entries.len()).find(|&i| {
                     self.entries[i]
                         .as_ref()
@@ -1010,7 +1101,7 @@ mod tests {
             session.function::<[u8], [u8]>("nope"),
             Err(RFaasError::UnknownFunction(_))
         ));
-        assert!(session.function_names().contains(&"echo".to_string()));
+        assert!(session.function::<[u8], [u8]>("echo").is_ok());
     }
 
     #[test]
@@ -1155,6 +1246,43 @@ mod tests {
     }
 
     #[test]
+    fn exhausted_recovery_budget_surfaces_the_original_error() {
+        // The only executor leaves the manager, so every transparent
+        // re-allocation is denied: once the default budget is spent, the
+        // lease expiry that triggered recovery surfaces, for a single
+        // invocation and for a scatter alike.
+        let (fabric, manager, single) = platform(1);
+        let scatter = Session::builder(&fabric, "client-1", &manager, "pkg")
+            .connect()
+            .unwrap();
+        manager.deregister_executor("exec-0");
+        for session in [&single, &scatter] {
+            session.clock().advance(SimDuration::from_secs(3600));
+        }
+
+        let lease = single.lease().unwrap();
+        let echo = single.function::<[u8], [u8]>("echo").unwrap();
+        assert!(matches!(
+            echo.invoke(&[1u8; 8][..]),
+            Err(RFaasError::LeaseExpired(id)) if id == lease.id
+        ));
+        assert_eq!(single.recoveries(), 0);
+
+        let lease = scatter.lease().unwrap();
+        let echo = scatter.function::<[u8], [u8]>("echo").unwrap();
+        let inputs = [[2u8; 8], [3u8; 8]];
+        let gathered = echo
+            .map_workers(inputs.iter().map(|v| &v[..]))
+            .unwrap()
+            .wait_all();
+        assert!(matches!(
+            gathered,
+            Err(RFaasError::LeaseExpired(id)) if id == lease.id
+        ));
+        assert_eq!(scatter.recoveries(), 0);
+    }
+
+    #[test]
     fn builder_knobs_shape_the_lease() {
         let fabric = Fabric::with_defaults();
         let registry = FunctionRegistry::new();
@@ -1176,7 +1304,6 @@ mod tests {
             .workers(2)
             .memory_mib(2048)
             .lease_timeout(SimDuration::from_secs(120))
-            .recovery_budget(0)
             .starting_at(start)
             .connect()
             .unwrap();
@@ -1186,15 +1313,6 @@ mod tests {
         assert_eq!(lease.memory_mib, 2048);
         assert!(session.clock().now() >= start);
         assert!(session.cold_start().is_some());
-        // A zero recovery budget surfaces the lease expiry instead of
-        // transparently re-allocating.
-        session.clock().advance(SimDuration::from_secs(3600));
-        let echo = session.function::<[u8], [u8]>("echo").unwrap();
-        assert!(matches!(
-            echo.invoke(&[1u8; 8][..]),
-            Err(RFaasError::LeaseExpired(id)) if id == lease.id
-        ));
-        assert_eq!(session.recoveries(), 0);
         session.close().unwrap();
         assert_eq!(manager.lease_count(), 0);
     }
@@ -1236,7 +1354,10 @@ mod tests {
         let second = Session::builder(&fabric, "c", &manager, "pkg")
             .workers(2)
             .connection_pool(&pool)
-            .connect_timeout(std::time::Duration::from_secs(2))
+            .config(RFaasConfig {
+                connect_timeout: std::time::Duration::from_secs(2),
+                ..RFaasConfig::default()
+            })
             .connect()
             .unwrap();
         let stats = second.stats().connections;
@@ -1256,13 +1377,13 @@ mod tests {
         let (_f, _m, session) = platform(1);
         let echo = session.function::<[u8], [u8]>("echo").unwrap();
         echo.invoke(&[1u8; 100][..]).unwrap();
-        assert_eq!(session.pool.free.lock().len(), 1);
+        assert_eq!(session.buffers.free.lock().len(), 1);
         // Same-size invocation reuses the pooled pair instead of growing it.
         echo.invoke(&[2u8; 100][..]).unwrap();
-        assert_eq!(session.pool.free.lock().len(), 1);
+        assert_eq!(session.buffers.free.lock().len(), 1);
         // A larger invocation allocates a second pair.
         echo.invoke(&vec![3u8; 100_000][..]).unwrap();
-        assert_eq!(session.pool.free.lock().len(), 2);
+        assert_eq!(session.buffers.free.lock().len(), 2);
     }
 
     #[test]
@@ -1272,7 +1393,7 @@ mod tests {
         // so every wave of a larger payload registered fresh memory for good.
         let (_f, _m, session) = platform(4);
         let echo = session.function::<[u8], [u8]>("echo").unwrap();
-        let pd = &session.pool.allocator.pd;
+        let pd = &session.buffers.allocator.pd;
         let baseline = pd.region_count();
         const IN_FLIGHT: usize = 8;
         for wave in 0..40 {
@@ -1293,7 +1414,7 @@ mod tests {
                 pd.region_count()
             );
         }
-        assert_eq!(session.pool.free.lock().len(), MAX_POOLED_PAIRS);
+        assert_eq!(session.buffers.free.lock().len(), MAX_POOLED_PAIRS);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Smoke tests for the workspace surface: the umbrella crate must re-export
 //! every layer, and the `rfaas` crate-level doc example (lease → hot invoke →
-//! deallocate) must keep working both as a doctest (`cargo test --doc -p
-//! rfaas`, run by tier-1 and CI) and as this compiled mirror of it — so a
-//! regression in the documented entry-point flow fails the suite even if
+//! deallocate) must keep working both as a doctest (run with every other
+//! library's doctests by `cargo test`) and as this compiled mirror of it — so
+//! a regression in the documented entry-point flow fails the suite even if
 //! doctests are filtered out.
 
 use rfaas_repro::cluster_sim::NodeResources;
