@@ -9,7 +9,10 @@
 //!
 //! In the software fabric a region is an `Arc`'d, lock-protected byte buffer.
 //! Page alignment is emulated so the cost model can charge the same
-//! non-aligned penalty the paper's design guidelines mention.
+//! non-aligned penalty the paper's design guidelines mention. Host storage
+//! is committed on first touch (see [`MemoryRegion::zeroed`]), so a large
+//! registration such as a state cache costs host memory only for the bytes
+//! in use.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -70,11 +73,12 @@ fn next_key() -> u64 {
 
 #[derive(Debug)]
 pub(crate) struct RegionInner {
-    pub(crate) data: RwLock<Vec<u8>>,
+    /// The committed prefix of the region; the bytes past it read as zeros.
+    data: RwLock<Vec<u8>>,
+    len: usize,
     lkey: u64,
     rkey: u64,
     access: AccessFlags,
-    page_aligned: bool,
 }
 
 /// A registered memory region.
@@ -87,29 +91,39 @@ pub struct MemoryRegion {
 }
 
 impl MemoryRegion {
-    /// Register a zero-initialised region of `len` bytes.
+    /// Register a zero-initialised region of `len` bytes. Host storage is
+    /// committed on first touch, up to the touched byte; untouched bytes read
+    /// as zeros. What the region costs the host thus follows the bytes used,
+    /// not where the host allocator finds room for it (a zeroed allocation
+    /// carved from recycled heap memory is written in full, one from fresh
+    /// pages is not).
     pub fn zeroed(len: usize, access: AccessFlags) -> MemoryRegion {
-        Self::from_vec(vec![0u8; len], access)
+        Self::with_prefix(Vec::new(), len, access)
     }
 
     /// Register a region initialised from `data`.
     pub fn from_vec(data: Vec<u8>, access: AccessFlags) -> MemoryRegion {
+        let len = data.len();
+        Self::with_prefix(data, len, access)
+    }
+
+    fn with_prefix(data: Vec<u8>, len: usize, access: AccessFlags) -> MemoryRegion {
         // The simulation treats every registration as page-aligned: rFaaS's
         // allocator always allocates page-aligned buffers (Sec. IV-B).
         MemoryRegion {
             inner: Arc::new(RegionInner {
                 data: RwLock::new(data),
+                len,
                 lkey: next_key(),
                 rkey: next_key(),
                 access,
-                page_aligned: true,
             }),
         }
     }
 
     /// Length of the region in bytes.
     pub fn len(&self) -> usize {
-        self.inner.data.read().len()
+        self.inner.len
     }
 
     /// Whether the region is empty.
@@ -132,40 +146,64 @@ impl MemoryRegion {
         self.inner.access
     }
 
-    /// Whether the underlying buffer is page aligned (always true for buffers
-    /// produced by the rFaaS allocator).
-    pub fn is_page_aligned(&self) -> bool {
-        self.inner.page_aligned
-    }
-
     /// Copy of the bytes in `[offset, offset + len)`.
     pub fn read(&self, offset: usize, len: usize) -> Result<Vec<u8>> {
+        check_bounds(offset, len, self.inner.len)?;
         let data = self.inner.data.read();
-        check_bounds(offset, len, data.len())?;
-        Ok(data[offset..offset + len].to_vec())
+        let committed = data.len();
+        let mut copy = Vec::with_capacity(len);
+        copy.extend_from_slice(&data[offset.min(committed)..(offset + len).min(committed)]);
+        copy.resize(len, 0);
+        Ok(copy)
     }
 
     /// Copy of the full contents.
     pub fn read_all(&self) -> Vec<u8> {
-        self.inner.data.read().clone()
+        self.read(0, self.inner.len)
+            .expect("the whole region is in bounds")
     }
 
     /// Overwrite `[offset, offset + src.len())` with `src`.
     pub fn write(&self, offset: usize, src: &[u8]) -> Result<()> {
+        self.with_bytes_mut(offset, src.len(), |bytes| bytes.copy_from_slice(src))
+    }
+
+    /// Run `f` over an immutable view of the bytes in `[offset, offset + len)`.
+    pub fn with_bytes<R>(
+        &self,
+        offset: usize,
+        len: usize,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R> {
+        check_bounds(offset, len, self.inner.len)?;
+        {
+            let data = self.inner.data.read();
+            if let Some(bytes) = data.get(offset..offset + len) {
+                return Ok(f(bytes));
+            }
+        }
+        // Part of the range was never touched: commit it, then read.
+        self.with_bytes_mut(offset, len, |bytes| f(bytes))
+    }
+
+    /// Run `f` over a mutable view of the bytes in `[offset, offset + len)`.
+    pub fn with_bytes_mut<R>(
+        &self,
+        offset: usize,
+        len: usize,
+        f: impl FnOnce(&mut [u8]) -> R,
+    ) -> Result<R> {
+        check_bounds(offset, len, self.inner.len)?;
+        let end = offset + len;
         let mut data = self.inner.data.write();
-        check_bounds(offset, src.len(), data.len())?;
-        data[offset..offset + src.len()].copy_from_slice(src);
-        Ok(())
-    }
-
-    /// Run `f` over an immutable view of the region.
-    pub fn with_bytes<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
-        f(&self.inner.data.read())
-    }
-
-    /// Run `f` over a mutable view of the region.
-    pub fn with_bytes_mut<R>(&self, f: impl FnOnce(&mut [u8]) -> R) -> R {
-        f(&mut self.inner.data.write())
+        let committed = data.len();
+        if committed < end {
+            // Grow geometrically, but never past the region.
+            let target = end.max(2 * committed).min(self.inner.len);
+            data.reserve_exact(target - committed);
+            data.resize(end, 0);
+        }
+        Ok(f(&mut data[offset..end]))
     }
 
     /// Read an 8-byte little-endian word (used by atomics and headers).
@@ -316,10 +354,28 @@ mod tests {
     #[test]
     fn with_bytes_mut_mutates_in_place() {
         let mr = MemoryRegion::from_vec(vec![1, 2, 3], AccessFlags::LOCAL_ONLY);
-        mr.with_bytes_mut(|b| b.reverse());
+        mr.with_bytes_mut(0, 3, |b| b.reverse()).unwrap();
         assert_eq!(mr.read_all(), vec![3, 2, 1]);
-        let sum: u32 = mr.with_bytes(|b| b.iter().map(|&x| x as u32).sum());
-        assert_eq!(sum, 6);
+        let sum: u32 = mr
+            .with_bytes(1, 2, |b| b.iter().map(|&x| x as u32).sum())
+            .unwrap();
+        assert_eq!(sum, 3);
+        assert!(mr.with_bytes(2, 2, |_| ()).is_err());
+        assert!(mr.with_bytes_mut(usize::MAX, 2, |_| ()).is_err());
+    }
+
+    #[test]
+    fn untouched_bytes_read_as_zeros() {
+        let mr = MemoryRegion::zeroed(1 << 20, AccessFlags::REMOTE_ALL);
+        assert_eq!(mr.len(), 1 << 20);
+        mr.write(100, &[5, 6]).unwrap();
+        assert_eq!(mr.read(98, 6).unwrap(), vec![0, 0, 5, 6, 0, 0]);
+        assert_eq!(mr.with_bytes(4096, 3, <[u8]>::to_vec).unwrap(), vec![0; 3]);
+        mr.write((1 << 20) - 1, &[9]).unwrap();
+        let all = mr.read_all();
+        assert_eq!(all.len(), 1 << 20);
+        assert_eq!((all[101], all[(1 << 20) - 1]), (6, 9));
+        assert_eq!(all.iter().filter(|&&b| b != 0).count(), 3);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::cq::CompletionQueue;
 use crate::device::{DeviceFunction, NicProfile};
 use crate::error::{FabricError, Result};
 use crate::fabric::{Fabric, FabricNode};
-use crate::memory::{MemoryRegion, RemoteMemoryHandle};
+use crate::memory::RemoteMemoryHandle;
 use crate::pd::ProtectionDomain;
 use crate::srq::SharedReceiveQueue;
 use crate::verbs::{CompletionStatus, OpCode, RecvRequest, SendRequest, Sge, WorkCompletion};
@@ -48,12 +48,6 @@ impl Endpoint {
             pd: ProtectionDomain::new(),
             function: DeviceFunction::Physical,
         }
-    }
-
-    /// Same endpoint attached through an SR-IOV virtual function.
-    pub fn virtualized(mut self) -> Endpoint {
-        self.function = DeviceFunction::Virtual;
-        self
     }
 
     /// Replace the clock (actors that share a clock across several QPs).
@@ -724,8 +718,7 @@ impl QueuePair {
         }
         // The read-modify-write is atomic because the region lock is held for
         // the whole update.
-        let original = target.with_bytes_mut(|bytes| {
-            let slot = &mut bytes[remote.offset..remote.offset + 8];
+        let original = target.with_bytes_mut(remote.offset, 8, |slot| {
             let old = u64::from_le_bytes(slot.try_into().expect("8-byte slot"));
             let new = match op {
                 AtomicOp::FetchAdd(add) => old.wrapping_add(add),
@@ -739,7 +732,7 @@ impl QueuePair {
             };
             slot.copy_from_slice(&new.to_le_bytes());
             old
-        });
+        })?;
         local.region.write(local.offset, &original.to_le_bytes())?;
 
         let ready = self.issue(8, chained);
@@ -785,12 +778,6 @@ fn validate_sge(sge: &Sge) -> Result<()> {
             region_len,
         })
     }
-}
-
-/// Helper extension: build a remote handle for a region registered in this
-/// QP's own protection domain (what rFaaS sends to the peer in handshakes).
-pub fn advertise(region: &MemoryRegion) -> RemoteMemoryHandle {
-    region.remote_handle()
 }
 
 #[cfg(test)]

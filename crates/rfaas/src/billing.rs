@@ -125,7 +125,6 @@ pub struct BillingClient {
     slot: RemoteMemoryHandle,
     scratch: MemoryRegion,
     pending: OrderedMutex<UsageRecord>,
-    flushes: OrderedMutex<u64>,
 }
 
 impl BillingClient {
@@ -138,7 +137,6 @@ impl BillingClient {
             slot,
             scratch,
             pending: OrderedMutex::new(ranks::BILLING_PENDING, UsageRecord::default()),
-            flushes: OrderedMutex::new(ranks::BILLING_FLUSHES, 0),
         }
     }
 
@@ -210,13 +208,7 @@ impl BillingClient {
         let posted = self.qp.post_send_batch(batch)?;
         // Consume the completions so the send queue does not fill up.
         self.qp.send_cq().poll(posted + 1);
-        *self.flushes.lock() += 1;
         Ok(())
-    }
-
-    /// Number of flushes performed (used by tests and accounting reports).
-    pub fn flush_count(&self) -> u64 {
-        *self.flushes.lock()
     }
 }
 
@@ -307,7 +299,8 @@ mod tests {
         client.record_compute(SimDuration::from_millis(1));
         client.flush().unwrap();
         assert_eq!(db.read_slot(0).compute_us, 4_000);
-        assert_eq!(client.flush_count(), 2);
+        // Three fetch-and-adds for the first flush, one for the second.
+        assert_eq!(client.qp.ops_posted(), 4);
     }
 
     #[test]
@@ -315,7 +308,7 @@ mod tests {
         let (db, client) = setup();
         client.flush().unwrap();
         assert!(db.read_slot(0).is_empty());
-        assert_eq!(client.flush_count(), 0);
+        assert_eq!(client.qp.ops_posted(), 0);
     }
 
     #[test]

@@ -81,12 +81,7 @@ impl Buffer {
     /// buffer's payload capacity is rejected — silently clamping used to hand
     /// callers a short read they would misinterpret as the full result.
     pub fn read_payload(&self, len: usize) -> Result<Vec<u8>> {
-        if len > self.capacity() {
-            return Err(RFaasError::PayloadTooLarge {
-                payload: len,
-                capacity: self.capacity(),
-            });
-        }
+        crate::codec::check_capacity(len, self.capacity())?;
         self.region
             .read(self.header_space, len)
             .map_err(RFaasError::from)
@@ -101,14 +96,15 @@ impl Buffer {
         crate::codec::check_capacity(len, self.capacity())?;
         let start = self.header_space;
         self.region
-            .with_bytes_mut(|bytes| value.encode_into(&mut bytes[start..start + len]))
+            .with_bytes_mut(start, len, |bytes| value.encode_into(bytes))?
     }
 
     /// Decode `len` payload bytes through codec `C` (the typed equivalent of
-    /// [`Buffer::read_payload`]).
+    /// [`Buffer::read_payload`]), straight from the registered region.
     pub fn read_decoded<C: Codec + ?Sized>(&self, len: usize) -> Result<C::Owned> {
-        let bytes = self.read_payload(len)?;
-        C::decode(&bytes)
+        crate::codec::check_capacity(len, self.capacity())?;
+        let start = self.header_space;
+        self.region.with_bytes(start, len, C::decode)?
     }
 
     /// Remote handle covering the payload area (what the executor writes to).
@@ -387,8 +383,8 @@ impl Session {
 
         // Step 1: first contact with the resource manager rides the datagram
         // transport — a UD-style endpoint an order of magnitude cheaper to
-        // set up than the RC connection the old control path paid for
-        // (`manager_connect_cost`). Bound once, reused by re-allocations.
+        // set up than a reliable connection. Bound once, reused by
+        // re-allocations.
         let t0 = self.clock.now();
         self.ensure_control_socket();
         breakdown.connect_to_manager = self.clock.now().saturating_since(t0);
@@ -405,12 +401,11 @@ impl Session {
         // here on every error path must release the lease just granted, or
         // the manager's reservation leaks until the lease expires.
         let t2 = self.clock.now();
-        let allocation = match executor.allocator().allocate_with_policy(
-            &lease,
-            request.cores as usize,
-            mode,
-            self.policy,
-        ) {
+        let workers = request.cores as usize;
+        let allocation = match executor
+            .allocator()
+            .allocate(&lease, workers, mode, self.policy)
+        {
             Ok(allocation) => allocation,
             Err(e) => {
                 let _ = self.manager.release_lease(lease.id);
@@ -876,10 +871,11 @@ impl Session {
             // fetch, no heap allocation.
             let mut wire = [0u8; INLINE_STACK];
             wire[..INVOCATION_HEADER_BYTES].copy_from_slice(&header.encode());
-            input.region().with_bytes(|bytes| {
-                let payload = &bytes[input.payload_offset()..input.payload_offset() + payload_len];
-                wire[INVOCATION_HEADER_BYTES..wire_len].copy_from_slice(payload);
-            });
+            input
+                .region()
+                .with_bytes(input.payload_offset(), payload_len, |payload| {
+                    wire[INVOCATION_HEADER_BYTES..wire_len].copy_from_slice(payload)
+                })?;
             connection.qp.post_write_inline(
                 future.invocation_id as u64,
                 &wire[..wire_len],
@@ -1505,7 +1501,6 @@ mod tests {
         let _silent = rdma_fabric::Listener::bind(&fabric, "rfaas://dead-node/1/1");
         let worker = crate::executor::WorkerEndpointInfo {
             address: "rfaas://dead-node/1/1".to_string(),
-            max_payload: 4096,
         };
         let started = std::time::Instant::now();
         let err = match session.connect_workers(std::slice::from_ref(&worker), "dead-node") {

@@ -1,6 +1,5 @@
 //! Platform configuration and calibrated rFaaS-specific costs.
 
-use sandbox::SandboxType;
 use sim_core::SimDuration;
 
 /// How an executor worker waits for invocations (Sec. III-C).
@@ -28,9 +27,6 @@ pub struct RFaasConfig {
     /// Client-side cost of filling the 12-byte invocation header and
     /// book-keeping the invocation id.
     pub header_write_cost: SimDuration,
-    /// Client cost of establishing the initial connection to the resource
-    /// manager (TCP handshake + authentication), part of the cold path.
-    pub manager_connect_cost: SimDuration,
     /// Manager-side processing of one allocation request (lease lookup,
     /// placement decision, accounting record).
     pub allocation_processing_cost: SimDuration,
@@ -57,10 +53,6 @@ pub struct RFaasConfig {
     pub max_payload_bytes: usize,
     /// Number of invocations a worker keeps pre-posted receives for.
     pub recv_queue_depth: usize,
-    /// Default sandbox type for executor processes.
-    pub default_sandbox: SandboxType,
-    /// Default lease lifetime.
-    pub default_lease_timeout: SimDuration,
     /// Manager-side processing of one lease-renewal request. Renewal touches
     /// only the lease record (no placement decision), so the paper's
     /// allocation-processing budget is the upper bound; clients pay this cost
@@ -74,8 +66,6 @@ pub struct RFaasConfig {
     /// deregisters it and marks its leases terminated. Must be a small
     /// multiple of `heartbeat_interval` to tolerate jittered heartbeats.
     pub heartbeat_timeout: SimDuration,
-    /// Idle time after which an executor process is reclaimed.
-    pub executor_idle_timeout: SimDuration,
     /// Max parked warm parents per `(SandboxType, package)` key in each
     /// executor's warm pool. Zero disables warm pooling entirely: every
     /// deallocation tears its sandbox down and every allocation cold-spawns,
@@ -105,7 +95,6 @@ impl RFaasConfig {
         RFaasConfig {
             dispatch_cost: SimDuration::from_nanos(200),
             header_write_cost: SimDuration::from_nanos(30),
-            manager_connect_cost: SimDuration::from_millis(2),
             allocation_processing_cost: SimDuration::from_micros(700),
             allocation_submit_cost: SimDuration::from_micros(500),
             hot_poll_fallback: SimDuration::from_millis(50),
@@ -113,12 +102,9 @@ impl RFaasConfig {
             hot_poll_timeout: SimDuration::from_millis(100),
             max_payload_bytes: 8 * 1024 * 1024,
             recv_queue_depth: 16,
-            default_sandbox: SandboxType::BareMetal,
-            default_lease_timeout: SimDuration::from_secs(600),
             lease_renewal_cost: SimDuration::from_micros(700),
             heartbeat_interval: SimDuration::from_secs(5),
             heartbeat_timeout: SimDuration::from_secs(15),
-            executor_idle_timeout: SimDuration::from_secs(60),
             // Warm pooling is opt-in: the paper's evaluation always pays the
             // full cold spawn, so the calibrated default keeps the pool off.
             warm_pool_capacity: 0,
@@ -154,11 +140,8 @@ mod tests {
         // it is the core claim of the paper.
         assert!(c.dispatch_cost.as_nanos() < 1_000);
         assert!(c.header_write_cost.as_nanos() < 100);
-        // Control-plane costs are in the millisecond range.
-        assert!(c.manager_connect_cost.as_millis_f64() >= 1.0);
         assert!(c.max_payload_bytes >= 5 * 1024 * 1024);
         assert!(c.recv_queue_depth >= 1);
-        assert_eq!(c.default_sandbox, SandboxType::BareMetal);
         // Connect attempts must give up eventually, but not so fast that a
         // loaded test box produces spurious timeouts.
         assert!(c.connect_timeout >= std::time::Duration::from_secs(1));
@@ -181,7 +164,8 @@ mod tests {
         // so back-to-back bursts never demote, while staying far below the
         // lease lifetime so an abandoned hot worker stops burning its core.
         assert!(c.hot_poll_timeout >= SimDuration::from_millis(1));
-        assert!(c.hot_poll_timeout < c.default_lease_timeout);
+        let lease = crate::protocol::LeaseRequest::single_worker("pkg");
+        assert!(c.hot_poll_timeout < lease.timeout);
     }
 
     #[test]

@@ -28,8 +28,8 @@ use std::time::Duration;
 use cluster_sim::NodeResources;
 use rdma_fabric::{
     AccessFlags, CqSet, DeviceFunction, Endpoint, Fabric, FabricNode, FaultBatch, Listener,
-    MemoryRegion, NicProfile, PrefetchPlan, QueuePair, ReceiveRing, SendRequest, Sge,
-    SharedReceiveQueue, SrqStats, WorkCompletion,
+    MemoryRegion, NicProfile, PrefetchPlan, QueuePair, ReceiveRing, RemoteMemoryHandle,
+    SendRequest, Sge, SharedReceiveQueue, SrqStats, WorkCompletion,
 };
 #[cfg(test)]
 use sandbox::SandboxType;
@@ -72,19 +72,28 @@ pub enum AllocationPolicy {
 #[derive(Debug)]
 pub struct ForkFaultState {
     plan: PrefetchPlan,
-    tracker: OrderedMutex<FaultTracker>,
-    served: OrderedMutex<Vec<FaultBatch>>,
+    faults: OrderedMutex<ForkFaults>,
+}
+
+/// The page residency of a forked child and the batches that faulted it in.
+#[derive(Debug)]
+struct ForkFaults {
+    tracker: FaultTracker,
+    /// Served batches, in service order.
+    served: Vec<FaultBatch>,
 }
 
 impl ForkFaultState {
     fn new(snapshot: &SandboxSnapshot, profile: &NicProfile, window: usize) -> ForkFaultState {
         let plan = PrefetchPlan::new(profile, snapshot.total_pages(), window, SNAPSHOT_PAGE_BYTES);
         ForkFaultState {
-            tracker: OrderedMutex::new(
+            faults: OrderedMutex::new(
                 ranks::EXECUTOR_FORK_TRACKER,
-                FaultTracker::for_snapshot(snapshot),
+                ForkFaults {
+                    tracker: FaultTracker::for_snapshot(snapshot),
+                    served: Vec::new(),
+                },
             ),
-            served: OrderedMutex::new(ranks::EXECUTOR_FORK_SERVED, Vec::new()),
             plan,
         }
     }
@@ -92,13 +101,14 @@ impl ForkFaultState {
     /// Serve the next prefetch window, if any pages are still cold: returns
     /// the batch (pages + link cost) the invocation must absorb.
     fn serve_next(&self) -> Option<FaultBatch> {
-        let (start_page, pages) = self.tracker.lock().fault_next_window(self.plan.window())?;
+        let mut faults = self.faults.lock();
+        let (start_page, pages) = faults.tracker.fault_next_window(self.plan.window())?;
         let batch = FaultBatch {
             start_page,
             pages,
             cost: self.plan.batch_cost(pages),
         };
-        self.served.lock().push(batch);
+        faults.served.push(batch);
         Some(batch)
     }
 
@@ -109,24 +119,24 @@ impl ForkFaultState {
 
     /// Pages faulted in so far.
     pub fn pages_faulted(&self) -> usize {
-        self.tracker.lock().faulted_count()
+        self.faults.lock().tracker.faulted_count()
     }
 
     /// Whether the child is fully resident (steady state: no more fault
     /// latency on invocations).
     pub fn is_complete(&self) -> bool {
-        self.tracker.lock().is_complete()
+        self.faults.lock().tracker.is_complete()
     }
 
     /// The fault batches served so far, in service order — the child's
     /// fault schedule.
     pub fn fault_schedule(&self) -> Vec<FaultBatch> {
-        self.served.lock().clone()
+        self.faults.lock().served.clone()
     }
 
     /// Total link time spent serving faults so far.
     pub fn fault_time(&self) -> SimDuration {
-        self.served.lock().iter().map(|b| b.cost).sum()
+        self.faults.lock().served.iter().map(|b| b.cost).sum()
     }
 }
 
@@ -136,7 +146,7 @@ impl ForkFaultState {
 /// worker-local buffers before dispatch and writes dirty read-write keys
 /// back after completion, so the function body itself never takes a
 /// control-plane round trip.
-pub struct ExecutorStateBinding {
+struct ExecutorStateBinding {
     client: StateClient,
     specs: HashMap<String, StateSpec>,
 }
@@ -170,11 +180,6 @@ impl ExecutorStateBinding {
 
     fn sync_to(&self, t: SimTime) {
         self.client.sync_to(t);
-    }
-
-    /// Client-side counters of the executor's state cache.
-    pub fn stats(&self) -> StateClientStats {
-        self.client.stats()
     }
 
     /// Materialise the keys `function` declared into worker-local buffers.
@@ -268,10 +273,10 @@ fn integer_sqrt(n: usize) -> usize {
     root
 }
 
-/// The (renewable) expiry instant of one lease, shared between the allocator,
-/// the executor process and every worker thread serving the lease.
+/// The (renewable) expiry instant of one lease, shared between the executor
+/// process serving the lease and its dispatcher.
 ///
-/// Workers consult it on each invocation (Sec. III-B: the executor enforces
+/// The dispatcher consults it on each invocation (Sec. III-B: the executor enforces
 /// the lease, not the client); `extend` pushes it forward when the client
 /// renews through the manager. The deadline never moves backwards.
 #[derive(Debug)]
@@ -308,24 +313,19 @@ impl LeaseDeadline {
 /// A CPU core shared between workers; warm invocations must acquire it
 /// exclusively, hot workers hold it for their whole lifetime (Fig. 6).
 #[derive(Debug, Default)]
-pub struct CoreSlot {
+struct CoreSlot {
     busy: AtomicBool,
 }
 
 impl CoreSlot {
     /// Try to take exclusive ownership of the core.
-    pub fn try_acquire(&self) -> bool {
+    fn try_acquire(&self) -> bool {
         !self.busy.swap(true, Ordering::AcqRel)
     }
 
     /// Release the core.
-    pub fn release(&self) {
+    fn release(&self) {
         self.busy.store(false, Ordering::Release);
-    }
-
-    /// Whether the core is currently held.
-    pub fn is_busy(&self) -> bool {
-        self.busy.load(Ordering::Acquire)
     }
 }
 
@@ -357,13 +357,11 @@ pub struct WorkerStats {
     pub state_time: SimDuration,
 }
 
+/// What a worker's handle shares with the dispatcher serving it.
 #[derive(Debug)]
 struct WorkerShared {
-    shutdown: AtomicBool,
-    mode: OrderedMutex<PollingMode>,
     stats: OrderedMutex<WorkerStats>,
     clock: Arc<VirtualClock>,
-    deadline: Arc<LeaseDeadline>,
 }
 
 /// Connection details a client needs to reach one worker thread.
@@ -371,24 +369,18 @@ struct WorkerShared {
 pub struct WorkerEndpointInfo {
     /// Fabric address the worker's listener is bound to.
     pub address: String,
-    /// Maximum payload bytes the worker's input buffer accepts.
-    pub max_payload: usize,
 }
 
 /// Handle owned by the executor process for one worker. The worker itself is
 /// state driven by the process dispatcher thread, not a thread of its own.
 #[derive(Debug)]
 pub struct WorkerHandle {
-    info: WorkerEndpointInfo,
+    /// The polling mode the worker was allocated in.
+    mode: PollingMode,
     shared: Arc<WorkerShared>,
 }
 
 impl WorkerHandle {
-    /// Connection info for clients.
-    pub fn info(&self) -> &WorkerEndpointInfo {
-        &self.info
-    }
-
     /// Snapshot of the worker's statistics.
     pub fn stats(&self) -> WorkerStats {
         *self.shared.stats.lock()
@@ -399,26 +391,13 @@ impl WorkerHandle {
         &self.shared.clock
     }
 
-    /// Change the polling mode (hot ↔ warm switch, Sec. III-C).
-    pub fn set_mode(&self, mode: PollingMode) {
-        *self.shared.mode.lock() = mode;
-    }
-
-    /// Current polling mode.
+    /// Current polling mode: the allocated one, except that a hot worker
+    /// that demoted itself (Sec. III-C) stays warm from then on.
     pub fn mode(&self) -> PollingMode {
-        *self.shared.mode.lock()
-    }
-
-    fn request_shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-    }
-}
-
-impl Drop for WorkerHandle {
-    fn drop(&mut self) {
-        // The dispatcher retires the worker (releases its core, disconnects
-        // its client) on its next turn; joining happens at process level.
-        self.request_shutdown();
+        match self.mode {
+            PollingMode::Hot if self.stats().demotions > 0 => PollingMode::Warm,
+            mode => mode,
+        }
     }
 }
 
@@ -429,7 +408,8 @@ struct WorkerSlot {
     endpoint: Endpoint,
     shared: Arc<WorkerShared>,
     core: Arc<CoreSlot>,
-    max_payload: usize,
+    /// Owned by the dispatcher: only a hot worker's own demotion changes it.
+    mode: PollingMode,
     conn: Option<WorkerConn>,
     /// The worker finished (client gone, shutdown or setup failure). Its CQ
     /// is deregistered from the set; any stray token in flight is ignored.
@@ -457,13 +437,15 @@ struct WorkerConn {
     unparked_until: SimTime,
 }
 
-/// Everything one dispatcher thread needs to serve a whole executor process.
+/// Everything besides the worker slots that one dispatcher thread needs to
+/// serve a whole executor process.
 struct DispatcherContext {
-    workers: Vec<WorkerSlot>,
     package: CodePackage,
     config: RFaasConfig,
     billing: Option<Arc<BillingClient>>,
     shutdown: Arc<AtomicBool>,
+    /// The lease deadline every worker of the process enforces.
+    deadline: Arc<LeaseDeadline>,
     /// The process-wide shared receive queue every worker QP consumes from.
     srq: SharedReceiveQueue,
     /// The one receive ring replenishing the SRQ: its doorbell slots back
@@ -506,13 +488,13 @@ fn connect_worker(
     // Registered buffers: clients write [header | payload] into `input`; the
     // function produces its result in `output` before it is written back.
     let input = slot.endpoint.pd.register(
-        INVOCATION_HEADER_BYTES + slot.max_payload,
+        INVOCATION_HEADER_BYTES + config.max_payload_bytes,
         AccessFlags::REMOTE_WRITE,
     );
     let output = slot
         .endpoint
         .pd
-        .register(slot.max_payload, AccessFlags::LOCAL_ONLY);
+        .register(config.max_payload_bytes, AccessFlags::LOCAL_ONLY);
 
     // No private receive ring: the QP consumes pre-posted receives from the
     // process-wide SRQ, capped by a per-worker flow-control credit so one
@@ -544,23 +526,51 @@ fn connect_worker(
     })
 }
 
+/// Write the first `len` bytes of the worker's output buffer into the
+/// client's result buffer and notify it of `status` through the immediate
+/// value.
+fn post_result(
+    conn: &WorkerConn,
+    invocation_id: u32,
+    result: &RemoteMemoryHandle,
+    len: usize,
+    status: ResultStatus,
+) {
+    let _ = conn.qp.post_send(
+        invocation_id as u64,
+        SendRequest::WriteWithImm {
+            local: Sge::range(&conn.output, 0, len),
+            remote: result.slice(0, len),
+            imm: ImmValue::response(invocation_id, status),
+        },
+        false,
+    );
+}
+
+/// Run `f` over the worker's whole output buffer (a range that is always in
+/// bounds, so only `f` can fail).
+fn with_output(
+    output: &MemoryRegion,
+    f: impl FnOnce(&mut [u8]) -> std::result::Result<usize, FunctionError>,
+) -> std::result::Result<usize, FunctionError> {
+    output
+        .with_bytes_mut(0, output.len(), f)
+        .unwrap_or_else(|e| Err(FunctionError::ExecutionFailed(e.to_string())))
+}
+
 /// Serve one invocation completion on its owning worker: charge the pickup
 /// on the worker's clock per its polling mode, apply the retrospective
 /// hot-poll accounting, enforce the lease, acquire the core, run the
 /// function and write the result back. The billing is exactly what a
 /// dedicated worker thread charged; only the completion delivery is
 /// multiplexed.
-#[allow(clippy::too_many_arguments)]
-fn serve_completion(
-    slot: &mut WorkerSlot,
-    raw: WorkCompletion,
-    ring: &ReceiveRing,
-    package: &CodePackage,
-    config: &RFaasConfig,
-    billing: &Option<Arc<BillingClient>>,
-    fork: &Option<Arc<ForkFaultState>>,
-    state_binding: &Arc<OrderedMutex<Option<ExecutorStateBinding>>>,
-) {
+fn serve_completion(slot: &mut WorkerSlot, raw: WorkCompletion, ctx: &DispatcherContext) {
+    let DispatcherContext {
+        package,
+        config,
+        billing,
+        ..
+    } = ctx;
     let shared = Arc::clone(&slot.shared);
     let core = Arc::clone(&slot.core);
     let Some(conn) = slot.conn.as_mut() else {
@@ -569,14 +579,14 @@ fn serve_completion(
     // Hand the raw completion back to the shared ring for slot accounting:
     // adoption releases the consuming QP's SRQ credit and re-posts the
     // consumed receive into the SRQ.
-    let wc = ring.adopt(raw).wc;
+    let wc = ctx.ring.adopt(raw).wc;
 
     // The multiplexed drain was uncharged: bill the pickup the way this
     // worker's own wait would have. Hot workers (and adaptive workers still
     // inside their spin window) pay the busy-poll pickup; warm and parked
     // adaptive workers pay notification serialisation plus the blocking
     // wake-up.
-    let mode = *shared.mode.lock();
+    let mode = slot.mode;
     let parked = match mode {
         PollingMode::Hot => false,
         PollingMode::Warm => true,
@@ -626,7 +636,7 @@ fn serve_completion(
                 if let Some(b) = billing {
                     b.record_hot_poll(config.hot_poll_timeout);
                 }
-                *shared.mode.lock() = PollingMode::Warm;
+                slot.mode = PollingMode::Warm;
                 shared.clock.advance(conn.qp.recv_cq().blocking_penalty());
                 if conn.holds_core {
                     core.release();
@@ -663,7 +673,7 @@ fn serve_completion(
     let Ok(header) = InvocationHeader::decode(&header_bytes) else {
         return;
     };
-    let result_handle = header.result_handle();
+    let reply_to = header.result_handle();
     let payload_len = total_len.saturating_sub(INVOCATION_HEADER_BYTES);
 
     // Lease enforcement (Sec. III-B): charging the pickup synchronised
@@ -671,16 +681,14 @@ fn serve_completion(
     // against the shared deadline catches leases that expired while the
     // client kept the connection open. Refuse the invocation so the client
     // re-allocates through the resource manager.
-    if shared.deadline.is_expired(shared.clock.now()) {
+    if ctx.deadline.is_expired(shared.clock.now()) {
         shared.stats.lock().expired += 1;
-        let _ = conn.qp.post_send(
-            invocation_id as u64,
-            SendRequest::WriteWithImm {
-                local: Sge::range(&conn.output, 0, 0),
-                remote: result_handle.slice(0, 0),
-                imm: ImmValue::response(invocation_id, ResultStatus::LeaseExpired),
-            },
-            false,
+        post_result(
+            conn,
+            invocation_id,
+            &reply_to,
+            0,
+            ResultStatus::LeaseExpired,
         );
         // The spin up to this arrival was already accounted above; mark
         // the new idle point or the next request re-bills that interval.
@@ -696,15 +704,7 @@ fn serve_completion(
             true
         } else {
             shared.stats.lock().rejected += 1;
-            let _ = conn.qp.post_send(
-                invocation_id as u64,
-                SendRequest::WriteWithImm {
-                    local: Sge::range(&conn.output, 0, 0),
-                    remote: result_handle.slice(0, 0),
-                    imm: ImmValue::response(invocation_id, ResultStatus::Rejected),
-                },
-                false,
-            );
+            post_result(conn, invocation_id, &reply_to, 0, ResultStatus::Rejected);
             conn.last_ready = Some(shared.clock.now());
             return;
         }
@@ -717,7 +717,7 @@ fn serve_completion(
     // entry, served by one-sided READs from the parent node and billed to
     // the tenant like compute. Once the map is resident (`serve_next`
     // returns None) invocations are indistinguishable from a warm spawn.
-    if let Some(fork) = fork {
+    if let Some(fork) = &ctx.fork {
         if let Some(batch) = fork.serve_next() {
             shared.clock.advance(batch.cost);
             {
@@ -755,7 +755,7 @@ fn serve_completion(
                 // spends on its own clock (cache misses, remote reads, push
                 // writes) is re-billed onto this worker's clock so the
                 // invocation round trip carries it.
-                let mut guard = state_binding.lock();
+                let mut guard = ctx.state_binding.lock();
                 match guard.as_mut() {
                     None => Err(FunctionError::StateAccess(
                         "no state plane is attached to this executor process".into(),
@@ -770,7 +770,7 @@ fn serve_completion(
                         let outcome = match binding.materialize(function.name()) {
                             Err(e) => Err(FunctionError::StateAccess(e.to_string())),
                             Ok(mut window) => {
-                                let run = conn.output.with_bytes_mut(|buf| {
+                                let run = with_output(&conn.output, |buf| {
                                     function.invoke_stateful(&input_bytes, &mut window, buf)
                                 });
                                 match run {
@@ -793,13 +793,12 @@ fn serve_completion(
                     }
                 }
             } else {
-                conn.output
-                    .with_bytes_mut(|buf| function.invoke(&input_bytes, buf))
+                with_output(&conn.output, |buf| function.invoke(&input_bytes, buf))
             };
             shared.clock.advance(function.compute_cost(payload_len));
             let busy = shared.clock.now().saturating_since(started);
             let response = match outcome {
-                Ok(n) if n <= result_handle.len => (n, ResultStatus::Success),
+                Ok(n) if n <= reply_to.len => (n, ResultStatus::Success),
                 Ok(_) | Err(_) => (0, ResultStatus::FunctionFailed),
             };
             {
@@ -821,15 +820,7 @@ fn serve_completion(
     // Write the result directly into the client's memory and notify it
     // through the immediate value.
     let (out_len, status) = response;
-    let _ = conn.qp.post_send(
-        invocation_id as u64,
-        SendRequest::WriteWithImm {
-            local: Sge::range(&conn.output, 0, out_len),
-            remote: result_handle.slice(0, out_len),
-            imm: ImmValue::response(invocation_id, status),
-        },
-        false,
-    );
+    post_result(conn, invocation_id, &reply_to, out_len, status);
     if acquired_for_this {
         core.release();
     }
@@ -851,24 +842,14 @@ fn serve_completion(
 /// order and serves the completions on their owning workers. When a turn
 /// makes no progress the loop spins only if some worker busy-polls;
 /// otherwise it parks on the set's notifier like a warm worker parks on its
-/// completion channel.
-fn dispatcher_main(ctx: DispatcherContext) {
+/// completion channel. The loop ends when the process is dropped or stops
+/// serving, or once every worker retired.
+fn dispatcher_main(mut workers: Vec<WorkerSlot>, ctx: DispatcherContext) {
     /// How often an idle dispatcher re-polls its listeners while a worker
     /// connection is still being established. Replaces the old hard-coded
     /// 200µs `thread::sleep`: same accept cadence, but routed through the
     /// CqSet notifier so completions and disconnects cut the wait short.
     const SETUP_ACCEPT_POLL: Duration = Duration::from_micros(200);
-    let DispatcherContext {
-        mut workers,
-        package,
-        config,
-        billing,
-        shutdown,
-        srq,
-        ring,
-        fork,
-        state_binding,
-    } = ctx;
 
     let mut cqset = CqSet::new();
     // Member token -> worker index, in registration (= drain) order.
@@ -876,37 +857,38 @@ fn dispatcher_main(ctx: DispatcherContext) {
     // Scratch reused across turns: the steady-state drain never allocates.
     let mut scratch: Vec<(usize, WorkCompletion)> = Vec::new();
 
-    loop {
-        if shutdown.load(Ordering::Acquire) {
-            break;
-        }
-
+    while !ctx.shutdown.load(Ordering::Acquire) {
         let mut progressed = false;
+        // What the live workers need from an idle turn: a spinning hot
+        // worker keeps the loop busy, a connection being set up needs its
+        // listener re-polled. No live worker at all ends the loop.
+        let mut live = false;
+        let mut spin = false;
+        let mut setting_up = false;
 
         // Lifecycle sweep.
         for (index, slot) in workers.iter_mut().enumerate() {
             if slot.done {
                 continue;
             }
-            if slot.shared.shutdown.load(Ordering::Acquire) {
-                retire_worker(slot, &mut cqset);
-                continue;
-            }
             if slot.conn.is_none() {
                 // Wait for the lease-holding client to connect.
                 match slot.listener.try_accept(&slot.endpoint) {
-                    Ok(Some(qp)) => match connect_worker(slot, qp, &mut cqset, &config, &srq) {
-                        Some(conn) => {
-                            debug_assert_eq!(conn.token, owner.len());
-                            owner.push(index);
-                            slot.conn = Some(conn);
-                            progressed = true;
+                    Ok(Some(qp)) => {
+                        match connect_worker(slot, qp, &mut cqset, &ctx.config, &ctx.srq) {
+                            Some(conn) => {
+                                debug_assert_eq!(conn.token, owner.len());
+                                owner.push(index);
+                                slot.conn = Some(conn);
+                                progressed = true;
+                            }
+                            None => retire_worker(slot, &mut cqset),
                         }
-                        None => retire_worker(slot, &mut cqset),
-                    },
-                    Ok(None) => {}
+                    }
+                    Ok(None) => setting_up = true,
                     Err(_) => retire_worker(slot, &mut cqset),
                 }
+                live |= !slot.done;
                 continue;
             }
             let conn = slot.conn.as_mut().unwrap();
@@ -927,20 +909,23 @@ fn dispatcher_main(ctx: DispatcherContext) {
                         progressed = true;
                     }
                     Err(rdma_fabric::FabricError::ReceiverNotReady) => {
-                        if !conn.qp.is_connected() {
+                        if conn.qp.is_connected() {
+                            setting_up = true;
+                        } else {
                             retire_worker(slot, &mut cqset);
                         }
                     }
                     Err(_) => retire_worker(slot, &mut cqset),
                 }
+                live |= !slot.done;
                 continue;
             }
             // Hot workers own their core for their entire lifetime.
-            let mode = *slot.shared.mode.lock();
-            if matches!(mode, PollingMode::Hot) && !conn.holds_core {
+            let hot = matches!(slot.mode, PollingMode::Hot);
+            if hot && !conn.holds_core {
                 conn.holds_core = slot.core.try_acquire();
             }
-            if !matches!(mode, PollingMode::Hot) && conn.holds_core {
+            if !hot && conn.holds_core {
                 slot.core.release();
                 conn.holds_core = false;
             }
@@ -949,6 +934,9 @@ fn dispatcher_main(ctx: DispatcherContext) {
             // disconnect, exactly like a dedicated thread polling dry.
             if !conn.qp.is_connected() && conn.qp.recv_cq().pending() == 0 {
                 retire_worker(slot, &mut cqset);
+            } else {
+                live = true;
+                spin |= hot;
             }
         }
 
@@ -961,20 +949,11 @@ fn dispatcher_main(ctx: DispatcherContext) {
             if slot.done || slot.conn.is_none() {
                 continue;
             }
-            serve_completion(
-                slot,
-                wc,
-                &ring,
-                &package,
-                &config,
-                &billing,
-                &fork,
-                &state_binding,
-            );
+            serve_completion(slot, wc, &ctx);
             progressed = true;
         }
 
-        if workers.iter().all(|slot| slot.done) {
+        if !live {
             break;
         }
         if progressed {
@@ -985,26 +964,13 @@ fn dispatcher_main(ctx: DispatcherContext) {
         // park on the set's notifier — a delivery or disconnect on any
         // member CQ wakes the loop immediately, so the timeout only bounds
         // how often host-side conditions the notifier cannot observe
-        // (shutdown flags, new connections on the listeners) are re-polled.
-        // Adaptive workers park too: their spin window is *virtual* time,
-        // which an idle host thread cannot observe passing; the window is
-        // enforced where it matters — in the billing decision against the
-        // next completion's virtual timestamp.
-        let mut spin = false;
-        let mut setting_up = false;
-        for slot in &workers {
-            if slot.done {
-                continue;
-            }
-            match &slot.conn {
-                None => setting_up = true,
-                Some(conn) if !conn.hello_sent => setting_up = true,
-                Some(_) => match *slot.shared.mode.lock() {
-                    PollingMode::Hot => spin = true,
-                    PollingMode::Adaptive | PollingMode::Warm => {}
-                },
-            }
-        }
+        // (the shutdown flag, new connections on the listeners) are
+        // re-polled. Adaptive workers park too: their spin window is
+        // *virtual* time, which an idle host thread cannot observe passing;
+        // the window is enforced where it matters — in the billing decision
+        // against the next completion's virtual timestamp. A turn without
+        // progress served no completion, so no worker changed its mode
+        // since the sweep.
         if spin {
             std::hint::spin_loop();
             std::thread::yield_now();
@@ -1061,10 +1027,12 @@ pub struct AllocationResult {
 pub struct ExecutorProcess {
     id: u64,
     lease_id: u64,
-    sandbox: OrderedMutex<Sandbox>,
+    sandbox: Sandbox,
     workers: Vec<WorkerHandle>,
     /// The one event-loop thread multiplexing every worker's receive CQ.
     dispatcher: Option<JoinHandle<()>>,
+    /// Set once the process stops serving; the dispatcher then retires every
+    /// worker and exits.
     dispatcher_shutdown: Arc<AtomicBool>,
     /// The process-wide shared receive queue the dispatcher's workers
     /// consume from (kept for statistics; the dispatcher owns a clone).
@@ -1076,7 +1044,6 @@ pub struct ExecutorProcess {
     memory_mib: u64,
     deadline: Arc<LeaseDeadline>,
     created_at: SimTime,
-    last_used: OrderedMutex<SimTime>,
     /// How the sandbox was provisioned, and — for forked processes — the
     /// shared fault state over the parent snapshot's page map.
     policy: AllocationPolicy,
@@ -1107,7 +1074,7 @@ impl ExecutorProcess {
         self.leased_cores
     }
 
-    /// The (renewable) lease deadline shared with this process's workers.
+    /// The (renewable) lease deadline shared with this process's dispatcher.
     pub fn deadline(&self) -> &Arc<LeaseDeadline> {
         &self.deadline
     }
@@ -1145,7 +1112,7 @@ impl ExecutorProcess {
     /// Client-side counters of the process's state-plane attachment
     /// (`None` when no plane is attached).
     pub fn state_stats(&self) -> Option<StateClientStats> {
-        self.state_binding.lock().as_ref().map(|b| b.stats())
+        self.state_binding.lock().as_ref().map(|b| b.client.stats())
     }
 
     /// Statistics of the process-wide shared receive queue: depth, posted
@@ -1166,9 +1133,6 @@ impl ExecutorProcess {
     /// Stop serving: shut every worker down and join the dispatcher. The
     /// sandbox stays alive so the caller can park it as a warm parent.
     fn stop_serving(&mut self) {
-        for w in &self.workers {
-            w.request_shutdown();
-        }
         self.dispatcher_shutdown.store(true, Ordering::Release);
         if let Some(dispatcher) = self.dispatcher.take() {
             let _ = dispatcher.join();
@@ -1177,7 +1141,16 @@ impl ExecutorProcess {
 
     fn shutdown(&mut self) -> SimDuration {
         self.stop_serving();
-        self.sandbox.lock().terminate().unwrap_or(SimDuration::ZERO)
+        self.sandbox.terminate().unwrap_or(SimDuration::ZERO)
+    }
+}
+
+impl Drop for ExecutorProcess {
+    fn drop(&mut self) {
+        // A process dropped without `stop_serving` (its executor went away)
+        // still stops its dispatcher, which retires every worker on its next
+        // turn.
+        self.dispatcher_shutdown.store(true, Ordering::Release);
     }
 }
 
@@ -1280,28 +1253,14 @@ impl LightweightAllocator {
         &self.clock
     }
 
-    /// Allocate an executor process for `lease` with one worker per leased
-    /// core, each pinned to its own core slot.
-    pub fn allocate(&self, lease: &Lease) -> Result<AllocationResult> {
-        self.allocate_with_workers(lease, lease.cores as usize, PollingMode::Hot)
-    }
-
-    /// Allocate with an explicit worker count and polling mode. Requesting
-    /// more workers than leased cores oversubscribes the cores, which makes
-    /// warm invocations subject to rejection (Sec. III-D).
-    pub fn allocate_with_workers(
-        &self,
-        lease: &Lease,
-        workers: usize,
-        mode: PollingMode,
-    ) -> Result<AllocationResult> {
-        self.allocate_with_policy(lease, workers, mode, AllocationPolicy::Cold)
-    }
-
-    /// Allocate under an explicit [`AllocationPolicy`]: the fork and
-    /// warm-pool tiers consult the executor's [`WarmPool`] before paying for
-    /// a full `Sandbox::spawn`, and fall back to the cold path on a miss.
-    pub fn allocate_with_policy(
+    /// Allocate an executor process for `lease` with `workers` workers in
+    /// polling `mode`, round-robin over one core slot per leased core.
+    /// Requesting more workers than leased cores oversubscribes the cores,
+    /// which makes warm invocations subject to rejection (Sec. III-D). The
+    /// fork and warm-pool [`AllocationPolicy`] tiers consult the executor's
+    /// [`WarmPool`] before paying for a full `Sandbox::spawn`, and fall back
+    /// to the cold path on a miss.
+    pub fn allocate(
         &self,
         lease: &Lease,
         workers: usize,
@@ -1430,6 +1389,7 @@ impl LightweightAllocator {
         let process_id = NEXT_PROCESS_ID.fetch_add(1, Ordering::Relaxed);
         let billing = self.billing.lock().clone();
         let deadline = Arc::new(LeaseDeadline::new(lease.expires_at));
+        let mut infos = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         let mut slots = Vec::with_capacity(workers);
         let mut spawn_error = shared_ring
@@ -1452,11 +1412,8 @@ impl LightweightAllocator {
             let listener = Listener::bind(&self.fabric, &address);
             let worker_clock = Arc::new(VirtualClock::starting_at(start_time));
             let shared = Arc::new(WorkerShared {
-                shutdown: AtomicBool::new(false),
-                mode: OrderedMutex::new(ranks::EXECUTOR_MODE, mode),
                 stats: OrderedMutex::new(ranks::EXECUTOR_STATS, WorkerStats::default()),
                 clock: Arc::clone(&worker_clock),
-                deadline: Arc::clone(&deadline),
             });
             let endpoint = Endpoint {
                 fabric: Arc::clone(&self.fabric),
@@ -1465,11 +1422,9 @@ impl LightweightAllocator {
                 pd: rdma_fabric::ProtectionDomain::new(),
                 function: device_function,
             };
+            infos.push(WorkerEndpointInfo { address });
             handles.push(WorkerHandle {
-                info: WorkerEndpointInfo {
-                    address,
-                    max_payload: self.config.max_payload_bytes,
-                },
+                mode,
                 shared: Arc::clone(&shared),
             });
             slots.push(WorkerSlot {
@@ -1477,7 +1432,7 @@ impl LightweightAllocator {
                 endpoint,
                 shared,
                 core: Arc::clone(&cores[worker_idx % cores.len()]),
-                max_payload: self.config.max_payload_bytes,
+                mode,
                 conn: None,
                 done: false,
             });
@@ -1490,12 +1445,13 @@ impl LightweightAllocator {
         let mut dispatcher = None;
         if spawn_error.is_none() {
             if let Ok(ring) = shared_ring {
+                let workers = std::mem::take(&mut slots);
                 let context = DispatcherContext {
-                    workers: std::mem::take(&mut slots),
                     package: package.clone(),
                     config: self.config.clone(),
                     billing,
                     shutdown: Arc::clone(&dispatcher_shutdown),
+                    deadline: Arc::clone(&deadline),
                     srq: srq.clone(),
                     ring,
                     fork: fork_state.clone(),
@@ -1503,7 +1459,7 @@ impl LightweightAllocator {
                 };
                 match std::thread::Builder::new()
                     .name(format!("rfaas-dispatch-{process_id}"))
-                    .spawn(move || dispatcher_main(context))
+                    .spawn(move || dispatcher_main(workers, context))
                 {
                     Ok(thread) => dispatcher = Some(thread),
                     Err(e) => {
@@ -1529,11 +1485,10 @@ impl LightweightAllocator {
             return Err(error);
         }
 
-        let infos: Vec<WorkerEndpointInfo> = handles.iter().map(|h| h.info().clone()).collect();
         let process = ExecutorProcess {
             id: process_id,
             lease_id: lease.id,
-            sandbox: OrderedMutex::new(ranks::EXECUTOR_SANDBOX, sandbox),
+            sandbox,
             workers: handles,
             dispatcher,
             dispatcher_shutdown,
@@ -1542,7 +1497,6 @@ impl LightweightAllocator {
             memory_mib: lease.memory_mib,
             deadline,
             created_at: start_time,
-            last_used: OrderedMutex::new(ranks::EXECUTOR_LAST_USED, start_time),
             policy,
             fork: fork_state,
             state_binding: state_slot,
@@ -1568,21 +1522,6 @@ impl LightweightAllocator {
         self.state.lock().processes.get(&process_id).cloned()
     }
 
-    /// Shared-receive-queue statistics of one process (`None` for an unknown
-    /// or already deallocated process).
-    pub fn srq_stats(&self, process_id: u64) -> Option<SrqStats> {
-        self.process(process_id).map(|p| p.lock().srq_stats())
-    }
-
-    /// Depth high watermark of one process's shared receive queue: the peak
-    /// number of receive slots simultaneously in flight across every worker
-    /// connection of the process. Zero for an unknown process.
-    pub fn srq_high_watermark(&self, process_id: u64) -> usize {
-        self.srq_stats(process_id)
-            .map(|s| s.depth_high_watermark)
-            .unwrap_or(0)
-    }
-
     /// The executor's warm pool of parked fork parents.
     pub fn warm_pool(&self) -> &WarmPool {
         &self.warm_pool
@@ -1594,12 +1533,6 @@ impl LightweightAllocator {
         self.warm_pool
             .evict_idle(now, self.config.warm_pool_idle_timeout)
             .len()
-    }
-
-    /// Fault state of a forked process (`None` for unknown processes or
-    /// cold/warm provisioning).
-    pub fn fork_state(&self, process_id: u64) -> Option<Arc<ForkFaultState>> {
-        self.process(process_id).and_then(|p| p.lock().fork_state())
     }
 
     /// Attach a state-plane client to one executor process: stateful
@@ -1629,12 +1562,6 @@ impl LightweightAllocator {
         })?;
         binding.bind(function, spec);
         Ok(())
-    }
-
-    /// Client-side state counters of one process's plane attachment.
-    pub fn state_client_stats(&self, process_id: u64) -> Option<StateClientStats> {
-        self.process(process_id)
-            .and_then(|p| p.lock().state_stats())
     }
 
     /// All live executor processes, in ascending process-id order (used by
@@ -1674,10 +1601,10 @@ impl LightweightAllocator {
         // disabled or key at capacity → normal teardown, billed once).
         let parked = self
             .warm_pool
-            .park(process.sandbox.lock().clone(), self.clock.now())
+            .park(process.sandbox.clone(), self.clock.now())
             .is_some();
         if !parked {
-            if let Some(teardown) = process.sandbox.lock().terminate() {
+            if let Some(teardown) = process.sandbox.terminate() {
                 self.clock.advance(teardown);
             }
         }
@@ -1686,8 +1613,8 @@ impl LightweightAllocator {
             let _ = billing.flush();
         }
         // Release the process guard before re-taking the allocator lock:
-        // allocator state ranks below the process lock (reap/cleanup hold
-        // it while locking individual processes), so holding the process
+        // allocator state ranks below the process lock (reaping holds it
+        // while locking individual processes), so holding the process
         // across this acquisition would invert the order.
         drop(process);
         let mut state = self.state.lock();
@@ -1758,29 +1685,6 @@ impl LightweightAllocator {
         }
         count
     }
-
-    /// Remove processes that have been idle longer than the configured idle
-    /// timeout (virtual time). Returns the number of processes reclaimed.
-    pub fn cleanup_idle(&self, now: SimTime) -> usize {
-        let idle_ids: Vec<u64> = {
-            let state = self.state.lock();
-            state
-                .processes
-                .iter()
-                .filter(|(_, p)| {
-                    let p = p.lock();
-                    let last = (*p.last_used.lock()).max(p.latest_worker_time());
-                    now.saturating_since(last) > self.config.executor_idle_timeout
-                })
-                .map(|(id, _)| *id)
-                .collect()
-        };
-        let count = idle_ids.len();
-        for id in idle_ids {
-            let _ = self.deallocate(id);
-        }
-        count
-    }
 }
 
 /// A spot executor: one node's worth of harvested resources offered to rFaaS.
@@ -1789,7 +1693,6 @@ pub struct SpotExecutor {
     node: Arc<FabricNode>,
     resources: NodeResources,
     allocator: LightweightAllocator,
-    alive: AtomicBool,
     last_heartbeat_sent: OrderedMutex<Option<SimTime>>,
 }
 
@@ -1825,7 +1728,6 @@ impl SpotExecutor {
                 ImageRegistry::new(),
                 config,
             ),
-            alive: AtomicBool::new(true),
             last_heartbeat_sent: OrderedMutex::new(ranks::EXECUTOR_HEARTBEAT, None),
         })
     }
@@ -1852,7 +1754,7 @@ impl SpotExecutor {
 
     /// Whether the node is still up and heartbeating.
     pub fn is_alive(&self) -> bool {
-        self.alive.load(Ordering::Acquire)
+        self.allocator.alive.load(Ordering::Acquire)
     }
 
     /// Simulate the node being reclaimed by the batch system (or crashing):
@@ -1860,7 +1762,6 @@ impl SpotExecutor {
     /// disconnects the clients holding leases here. Returns the number of
     /// processes terminated.
     pub fn fail(&self) -> usize {
-        self.alive.store(false, Ordering::Release);
         self.allocator.terminate_all()
     }
 
@@ -1902,6 +1803,18 @@ mod tests {
             package: package.into(),
             billing_slot: 0,
         }
+    }
+
+    /// Allocate `lease` the way a default session does: one hot worker per
+    /// leased core, cold-spawned.
+    fn allocate_hot(exec: &SpotExecutor, lease: &Lease) -> Result<AllocationResult> {
+        let workers = lease.cores as usize;
+        exec.allocator()
+            .allocate(lease, workers, PollingMode::Hot, AllocationPolicy::Cold)
+    }
+
+    fn fork_state(exec: &SpotExecutor, process_id: u64) -> Option<Arc<ForkFaultState>> {
+        exec.allocator().process(process_id)?.lock().fork_state()
     }
 
     fn registry_with_echo() -> FunctionRegistry {
@@ -1946,10 +1859,7 @@ mod tests {
     /// `echo-pkg`, returning the pool-enabled executor.
     fn executor_with_parked_parent() -> Arc<SpotExecutor> {
         let exec = executor_with_pool(2);
-        let first = exec
-            .allocator()
-            .allocate(&test_lease(1, "echo-pkg"))
-            .unwrap();
+        let first = allocate_hot(&exec, &test_lease(1, "echo-pkg")).unwrap();
         exec.allocator().deallocate(first.process_id).unwrap();
         assert_eq!(
             exec.allocator()
@@ -1965,9 +1875,7 @@ mod tests {
         let slot = CoreSlot::default();
         assert!(slot.try_acquire());
         assert!(!slot.try_acquire());
-        assert!(slot.is_busy());
         slot.release();
-        assert!(!slot.is_busy());
         assert!(slot.try_acquire());
     }
 
@@ -1975,7 +1883,7 @@ mod tests {
     fn allocation_reserves_and_deallocation_restores_resources() {
         let exec = executor();
         let lease = test_lease(4, "echo-pkg");
-        let result = exec.allocator().allocate(&lease).unwrap();
+        let result = allocate_hot(&exec, &lease).unwrap();
         assert_eq!(result.workers.len(), 4);
         assert_eq!(exec.allocator().available().cores, 4);
         assert_eq!(exec.allocator().process_count(), 1);
@@ -1989,7 +1897,7 @@ mod tests {
     fn allocation_fails_for_unknown_package() {
         let exec = executor();
         let lease = test_lease(1, "missing-pkg");
-        let err = exec.allocator().allocate(&lease).unwrap_err();
+        let err = allocate_hot(&exec, &lease).unwrap_err();
         assert!(matches!(err, RFaasError::UnknownPackage(_)));
         // Resources must not leak on the failure path.
         assert_eq!(exec.allocator().available().cores, 8);
@@ -1999,11 +1907,8 @@ mod tests {
     fn allocation_fails_when_resources_exhausted() {
         let exec = executor();
         let lease = test_lease(6, "echo-pkg");
-        let first = exec.allocator().allocate(&lease).unwrap();
-        let err = exec
-            .allocator()
-            .allocate(&test_lease(6, "echo-pkg"))
-            .unwrap_err();
+        let first = allocate_hot(&exec, &lease).unwrap();
+        let err = allocate_hot(&exec, &test_lease(6, "echo-pkg")).unwrap_err();
         assert!(matches!(err, RFaasError::InsufficientResources { .. }));
         exec.allocator().deallocate(first.process_id).unwrap();
     }
@@ -2011,10 +1916,7 @@ mod tests {
     #[test]
     fn cold_start_breakdown_matches_sandbox_scale() {
         let exec = executor();
-        let result = exec
-            .allocator()
-            .allocate(&test_lease(1, "echo-pkg"))
-            .unwrap();
+        let result = allocate_hot(&exec, &test_lease(1, "echo-pkg")).unwrap();
         let total = result.breakdown.total().as_millis_f64();
         assert!(
             (10.0..80.0).contains(&total),
@@ -2029,7 +1931,7 @@ mod tests {
         let exec = executor();
         let mut lease = test_lease(1, "echo-pkg");
         lease.sandbox = SandboxType::Docker;
-        let result = exec.allocator().allocate(&lease).unwrap();
+        let result = allocate_hot(&exec, &lease).unwrap();
         assert!(result.breakdown.total().as_secs_f64() > 2.0);
         exec.allocator().deallocate(result.process_id).unwrap();
     }
@@ -2048,27 +1950,14 @@ mod tests {
         let exec = executor();
         let err = exec
             .allocator()
-            .allocate_with_workers(&test_lease(1, "echo-pkg"), 0, PollingMode::Hot)
+            .allocate(
+                &test_lease(1, "echo-pkg"),
+                0,
+                PollingMode::Hot,
+                AllocationPolicy::Cold,
+            )
             .unwrap_err();
         assert!(matches!(err, RFaasError::Internal(_)));
-    }
-
-    #[test]
-    fn worker_mode_can_be_switched() {
-        let exec = executor();
-        let result = exec
-            .allocator()
-            .allocate(&test_lease(1, "echo-pkg"))
-            .unwrap();
-        let process = exec.allocator().process(result.process_id).unwrap();
-        {
-            let process = process.lock();
-            let worker = &process.workers()[0];
-            assert_eq!(worker.mode(), PollingMode::Hot);
-            worker.set_mode(PollingMode::Warm);
-            assert_eq!(worker.mode(), PollingMode::Warm);
-        }
-        exec.allocator().deallocate(result.process_id).unwrap();
     }
 
     #[test]
@@ -2078,7 +1967,12 @@ mod tests {
         // 4 workers over 2 leased cores: only 2 cores are reserved.
         let result = exec
             .allocator()
-            .allocate_with_workers(&lease, 2 * lease.cores as usize, PollingMode::Warm)
+            .allocate(
+                &lease,
+                2 * lease.cores as usize,
+                PollingMode::Warm,
+                AllocationPolicy::Cold,
+            )
             .unwrap();
         assert_eq!(result.workers.len(), 4);
         assert_eq!(exec.allocator().available().cores, 6);
@@ -2098,7 +1992,12 @@ mod tests {
         exec.allocator().inject_spawn_failure(2);
         let err = exec
             .allocator()
-            .allocate_with_workers(&test_lease(4, "echo-pkg"), 4, PollingMode::Hot)
+            .allocate(
+                &test_lease(4, "echo-pkg"),
+                4,
+                PollingMode::Hot,
+                AllocationPolicy::Cold,
+            )
             .unwrap_err();
         assert!(matches!(err, RFaasError::Internal(_)));
         // Regression: the reservation debited before spawning must be
@@ -2111,10 +2010,7 @@ mod tests {
         );
         assert_eq!(exec.allocator().process_count(), 0);
         // The hook disarms itself: the next allocation succeeds.
-        let result = exec
-            .allocator()
-            .allocate(&test_lease(4, "echo-pkg"))
-            .unwrap();
+        let result = allocate_hot(&exec, &test_lease(4, "echo-pkg")).unwrap();
         exec.allocator().deallocate(result.process_id).unwrap();
     }
 
@@ -2123,7 +2019,7 @@ mod tests {
         let exec = executor();
         let mut lease = test_lease(2, "echo-pkg");
         lease.expires_at = SimTime::from_secs(10);
-        let result = exec.allocator().allocate(&lease).unwrap();
+        let result = allocate_hot(&exec, &lease).unwrap();
         assert_eq!(exec.allocator().reap_expired(SimTime::from_secs(9)), 0);
         assert_eq!(exec.allocator().process_count(), 1);
         assert_eq!(exec.allocator().reap_expired(SimTime::from_secs(10)), 1);
@@ -2137,7 +2033,7 @@ mod tests {
         let exec = executor();
         let mut lease = test_lease(1, "echo-pkg");
         lease.expires_at = SimTime::from_secs(10);
-        let result = exec.allocator().allocate(&lease).unwrap();
+        let result = allocate_hot(&exec, &lease).unwrap();
         assert_eq!(
             exec.allocator()
                 .extend_lease(lease.id, SimTime::from_secs(50)),
@@ -2166,9 +2062,7 @@ mod tests {
     #[test]
     fn failed_executor_terminates_processes_and_stops_heartbeating() {
         let exec = executor();
-        exec.allocator()
-            .allocate(&test_lease(2, "echo-pkg"))
-            .unwrap();
+        allocate_hot(&exec, &test_lease(2, "echo-pkg")).unwrap();
         assert!(exec.is_alive());
         let interval = SimDuration::from_secs(5);
         assert!(exec
@@ -2187,6 +2081,45 @@ mod tests {
         assert!(exec
             .emit_heartbeat_if_due(SimTime::from_secs(11), interval)
             .is_none());
+    }
+
+    #[test]
+    fn dropping_the_executor_stops_workers_nobody_connected_to() {
+        let fabric = Fabric::with_defaults();
+        let resources = NodeResources {
+            cores: 2,
+            memory_mib: 4096,
+        };
+        let exec = SpotExecutor::new(
+            &fabric,
+            "exec-0",
+            resources,
+            registry_with_echo(),
+            RFaasConfig::default(),
+        );
+        let result = allocate_hot(&exec, &test_lease(2, "echo-pkg")).unwrap();
+        drop(exec);
+        // The dropped process stops its dispatcher, which retires the
+        // workers and unbinds their listeners.
+        let client = Endpoint::new(&fabric, &fabric.add_node("client"));
+        let started = std::time::Instant::now();
+        for worker in &result.workers {
+            loop {
+                match rdma_fabric::connect_with_timeout(
+                    &client,
+                    &worker.address,
+                    Duration::from_millis(10),
+                ) {
+                    Err(rdma_fabric::FabricError::UnknownAddress(_)) => break,
+                    other => assert!(
+                        started.elapsed() < Duration::from_secs(1),
+                        "{} still reachable after 1 s: {other:?}",
+                        worker.address
+                    ),
+                }
+                std::thread::yield_now();
+            }
+        }
     }
 
     #[test]
@@ -2222,23 +2155,33 @@ mod tests {
         let exec = executor();
         let one = exec
             .allocator()
-            .allocate_with_workers(&test_lease(2, "echo-pkg"), 1, PollingMode::Warm)
+            .allocate(
+                &test_lease(2, "echo-pkg"),
+                1,
+                PollingMode::Warm,
+                AllocationPolicy::Cold,
+            )
             .unwrap();
         let sixteen = exec
             .allocator()
-            .allocate_with_workers(&test_lease(2, "echo-pkg"), 16, PollingMode::Warm)
+            .allocate(
+                &test_lease(2, "echo-pkg"),
+                16,
+                PollingMode::Warm,
+                AllocationPolicy::Cold,
+            )
             .unwrap();
         let config = RFaasConfig::default();
-        let depth1 = exec
-            .allocator()
-            .srq_stats(one.process_id)
-            .unwrap()
-            .max_depth;
-        let depth16 = exec
-            .allocator()
-            .srq_stats(sixteen.process_id)
-            .unwrap()
-            .max_depth;
+        let depth = |id| {
+            exec.allocator()
+                .process(id)
+                .unwrap()
+                .lock()
+                .srq_stats()
+                .max_depth
+        };
+        let depth1 = depth(one.process_id);
+        let depth16 = depth(sixteen.process_id);
         // A single worker still gets at least its old private ring depth.
         assert!(depth1 >= config.recv_queue_depth);
         // 16 workers share far fewer receive slots than 16 private rings
@@ -2253,40 +2196,9 @@ mod tests {
     }
 
     #[test]
-    fn srq_stats_of_unknown_process_are_empty() {
-        let exec = executor();
-        assert!(exec.allocator().srq_stats(999).is_none());
-        assert_eq!(exec.allocator().srq_high_watermark(999), 0);
-    }
-
-    #[test]
-    fn cleanup_idle_reclaims_stale_processes() {
-        let exec = executor();
-        let result = exec
-            .allocator()
-            .allocate(&test_lease(1, "echo-pkg"))
-            .unwrap();
-        assert_eq!(exec.allocator().process_count(), 1);
-        // Nothing is idle yet relative to the allocator clock.
-        assert_eq!(
-            exec.allocator()
-                .cleanup_idle(exec.allocator().clock().now()),
-            0
-        );
-        // Far in the virtual future everything is idle.
-        let far = exec.allocator().clock().now() + SimDuration::from_secs(3600);
-        assert_eq!(exec.allocator().cleanup_idle(far), 1);
-        assert_eq!(exec.allocator().process_count(), 0);
-        assert!(exec.allocator().process(result.process_id).is_none());
-    }
-
-    #[test]
     fn deallocate_parks_into_warm_pool_when_enabled() {
         let exec = executor_with_pool(2);
-        let result = exec
-            .allocator()
-            .allocate(&test_lease(4, "echo-pkg"))
-            .unwrap();
+        let result = allocate_hot(&exec, &test_lease(4, "echo-pkg")).unwrap();
         exec.allocator().deallocate(result.process_id).unwrap();
         // The sandbox was parked, not torn down, and the reservation was
         // still restored in full.
@@ -2299,10 +2211,7 @@ mod tests {
     #[test]
     fn disabled_pool_never_parks() {
         let exec = executor();
-        let result = exec
-            .allocator()
-            .allocate(&test_lease(1, "echo-pkg"))
-            .unwrap();
+        let result = allocate_hot(&exec, &test_lease(1, "echo-pkg")).unwrap();
         exec.allocator().deallocate(result.process_id).unwrap();
         let pool = exec.allocator().warm_pool();
         assert_eq!(pool.idle_for(SandboxType::BareMetal, "echo-pkg"), 0);
@@ -2314,7 +2223,7 @@ mod tests {
         let exec = executor_with_parked_parent();
         let result = exec
             .allocator()
-            .allocate_with_policy(
+            .allocate(
                 &test_lease(1, "echo-pkg"),
                 1,
                 PollingMode::Warm,
@@ -2329,7 +2238,7 @@ mod tests {
         assert!(result.breakdown.code_submission.is_zero());
         // The child starts with an empty address space: every page is still
         // to be faulted in over one-sided READs, none served yet.
-        let fork = exec.allocator().fork_state(result.process_id).unwrap();
+        let fork = fork_state(&exec, result.process_id).unwrap();
         assert!(fork.total_pages() > 0);
         assert_eq!(fork.pages_faulted(), 0);
         assert!(!fork.is_complete());
@@ -2347,7 +2256,7 @@ mod tests {
         let exec = executor_with_parked_parent();
         let result = exec
             .allocator()
-            .allocate_with_policy(
+            .allocate(
                 &test_lease(1, "echo-pkg"),
                 1,
                 PollingMode::Warm,
@@ -2362,7 +2271,7 @@ mod tests {
             "warm-pool hit took {total} µs"
         );
         assert!(result.breakdown.code_submission.is_zero());
-        assert!(exec.allocator().fork_state(result.process_id).is_none());
+        assert!(fork_state(&exec, result.process_id).is_none());
         assert_eq!(
             exec.allocator()
                 .warm_pool()
@@ -2378,13 +2287,13 @@ mod tests {
             let exec = executor_with_pool(2); // enabled but empty
             let result = exec
                 .allocator()
-                .allocate_with_policy(&test_lease(1, "echo-pkg"), 1, PollingMode::Hot, policy)
+                .allocate(&test_lease(1, "echo-pkg"), 1, PollingMode::Hot, policy)
                 .unwrap();
             assert!(
                 result.breakdown.total().as_millis_f64() > 10.0,
                 "a pool miss must pay the full cold spawn"
             );
-            assert!(exec.allocator().fork_state(result.process_id).is_none());
+            assert!(fork_state(&exec, result.process_id).is_none());
             assert_eq!(exec.allocator().warm_pool().stats().misses, 1);
         }
     }

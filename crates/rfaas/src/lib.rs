@@ -73,9 +73,8 @@ pub use codec::{check_capacity, Codec, F64View};
 pub use config::{PollingMode, RFaasConfig};
 pub use error::{RFaasError, Result};
 pub use executor::{
-    AllocationBreakdown, AllocationPolicy, AllocationResult, CoreSlot, ExecutorProcess,
-    ExecutorStateBinding, ForkFaultState, LeaseDeadline, LightweightAllocator, SpotExecutor,
-    WorkerEndpointInfo, WorkerStats,
+    AllocationBreakdown, AllocationPolicy, AllocationResult, ExecutorProcess, ForkFaultState,
+    LeaseDeadline, LightweightAllocator, SpotExecutor, WorkerEndpointInfo, WorkerStats,
 };
 pub use lifecycle::{GroupLifecycleDriver, LifecycleDriver, LifecycleStats};
 pub use manager::ResourceManager;

@@ -60,16 +60,20 @@ struct ReactorState {
     next_token: u64,
 }
 
+/// Scratch reused across turns: the steady-state sweep performs no
+/// allocations.
+#[derive(Default)]
+struct TurnScratch {
+    sweep: Vec<(u64, Arc<dyn CompletionSource>)>,
+    events: Vec<(u64, u32)>,
+}
+
 struct ReactorInner {
     /// Serialises turns: concurrent callers queue behind one sweep instead
     /// of racing over the same rings (the reactor replaces the per-connection
-    /// `wait_lock` of the old client).
-    turn_lock: OrderedMutex<()>,
+    /// `wait_lock` of the old client). The turn's scratch lives inside.
+    turn_lock: OrderedMutex<TurnScratch>,
     state: OrderedMutex<ReactorState>,
-    /// Scratch reused across turns (guarded by `turn_lock`): the steady-state
-    /// sweep performs no allocations.
-    events: OrderedMutex<Vec<(u64, u32)>>,
-    sweep: OrderedMutex<Vec<(u64, Arc<dyn CompletionSource>)>>,
     turns: AtomicU64,
     pumped: AtomicU64,
     dispatched: AtomicU64,
@@ -78,10 +82,8 @@ struct ReactorInner {
 impl Default for ReactorInner {
     fn default() -> ReactorInner {
         ReactorInner {
-            turn_lock: OrderedMutex::new(ranks::REACTOR_TURN, ()),
+            turn_lock: OrderedMutex::new(ranks::REACTOR_TURN, TurnScratch::default()),
             state: OrderedMutex::new(ranks::REACTOR_STATE, ReactorState::default()),
-            events: OrderedMutex::new(ranks::REACTOR_EVENTS, Vec::new()),
-            sweep: OrderedMutex::new(ranks::REACTOR_SWEEP, Vec::new()),
             turns: AtomicU64::new(0),
             pumped: AtomicU64::new(0),
             dispatched: AtomicU64::new(0),
@@ -175,9 +177,8 @@ impl Reactor {
     /// the number of completions pumped — `0` means no progress, so the
     /// caller may yield or block on an external signal.
     pub fn turn(&self) -> usize {
-        let _serialised = self.inner.turn_lock.lock();
-        let mut sweep = self.inner.sweep.lock();
-        let mut events = self.inner.events.lock();
+        let mut scratch = self.inner.turn_lock.lock();
+        let TurnScratch { sweep, events } = &mut *scratch;
         sweep.clear();
         sweep.extend(
             self.inner

@@ -462,18 +462,20 @@ impl Session {
         let active = self.active.lock();
         let process = active
             .as_ref()
-            .map(|a| (a.executor.allocator(), a.process_id));
+            .and_then(|a| a.executor.allocator().process(a.process_id));
+        let process = process.as_ref().map(|p| p.lock());
         SessionStats {
             connections: ConnectionPlaneStats {
                 connections_opened: self.connections_opened.load(Ordering::Relaxed),
                 pool_hits: pool.hits,
                 pool_misses: pool.misses,
                 srq_depth_high_watermark: process
-                    .map_or(0, |(allocator, id)| allocator.srq_high_watermark(id)),
+                    .as_ref()
+                    .map_or(0, |p| p.srq_stats().depth_high_watermark),
             },
-            fork: process.and_then(|(allocator, id)| allocator.fork_state(id)),
+            fork: process.as_ref().and_then(|p| p.fork_state()),
             state_session,
-            state_executor: process.and_then(|(allocator, id)| allocator.state_client_stats(id)),
+            state_executor: process.as_ref().and_then(|p| p.state_stats()),
             workers: active.as_ref().map_or(0, |a| a.connections.len()),
             recoveries: self.recoveries(),
         }
@@ -519,8 +521,8 @@ impl Session {
             .extend_lease(lease_id, renewed.expires_at)
             == 0
         {
-            // The executor process is already gone (idle-reaped or expired
-            // under us): the manager-side renewal succeeded but there is no
+            // The executor process is already gone (reaped or its node
+            // failed under us): the manager-side renewal succeeded but there is no
             // worker left to keep hot. Surface it so the caller re-allocates
             // instead of invoking into a dead connection.
             return Err(RFaasError::ExecutorLost(renewed.executor_node));

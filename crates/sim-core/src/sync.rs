@@ -67,12 +67,10 @@ pub mod ranks {
 
     // Invocation reactor.
     pub const REACTOR_TURN: LockRank = LockRank::new(30, "reactor.turn_lock");
-    pub const REACTOR_SWEEP: LockRank = LockRank::new(32, "reactor.sweep");
-    pub const REACTOR_EVENTS: LockRank = LockRank::new(34, "reactor.events");
     pub const REACTOR_STATE: LockRank = LockRank::new(36, "reactor.state");
     pub const REACTOR_READY: LockRank = LockRank::new(38, "reactor.ready");
     // A worker connection's result stash is filled while the reactor pumps it
-    // (turn/sweep/events held) and drained while a ready hint is resolved, so
+    // (turn lock held) and drained while a ready hint is resolved, so
     // it ranks above the whole reactor block.
     pub const CLIENT_COMPLETED: LockRank = LockRank::new(39, "client.completed");
 
@@ -86,16 +84,10 @@ pub mod ranks {
     pub const EXECUTOR_HEARTBEAT: LockRank = LockRank::new(48, "executor.heartbeat");
     pub const EXECUTOR_ALLOCATOR: LockRank = LockRank::new(52, "executor.allocator_state");
     pub const EXECUTOR_PROCESS: LockRank = LockRank::new(54, "executor.process");
-    // Above the process lock: worker handles hang off a locked process, and
-    // callers flip polling modes while holding the process guard.
-    pub const EXECUTOR_MODE: LockRank = LockRank::new(55, "executor.mode");
     pub const EXECUTOR_STATE_BINDING: LockRank = LockRank::new(56, "executor.state_binding");
-    pub const EXECUTOR_SANDBOX: LockRank = LockRank::new(58, "executor.sandbox");
     pub const EXECUTOR_BILLING: LockRank = LockRank::new(60, "executor.billing");
-    pub const EXECUTOR_LAST_USED: LockRank = LockRank::new(62, "executor.last_used");
     pub const EXECUTOR_STATS: LockRank = LockRank::new(64, "executor.stats");
     pub const EXECUTOR_FORK_TRACKER: LockRank = LockRank::new(66, "executor.fork_tracker");
-    pub const EXECUTOR_FORK_SERVED: LockRank = LockRank::new(68, "executor.fork_served");
 
     // Warm sandbox pool (entered from manager placement and executor
     // deallocation, both of which may hold their own locks).
@@ -111,7 +103,6 @@ pub mod ranks {
     // Leaf locks: billing accumulators are taken while an executor's billing
     // slot is held (rank 60), and never acquire anything themselves.
     pub const BILLING_PENDING: LockRank = LockRank::new(90, "billing.pending");
-    pub const BILLING_FLUSHES: LockRank = LockRank::new(92, "billing.flushes");
     pub const BILLING_SLOTS: LockRank = LockRank::new(94, "billing.next_slot");
     pub const LIFECYCLE_STATS: LockRank = LockRank::new(96, "lifecycle.stats");
 }
@@ -351,13 +342,6 @@ impl<T: fmt::Debug> fmt::Debug for OrderedMutex<T> {
     }
 }
 
-impl<T: Default> OrderedMutex<T> {
-    /// Convenience for `OrderedMutex::new(rank, T::default())`.
-    pub fn default_with(rank: LockRank) -> OrderedMutex<T> {
-        OrderedMutex::new(rank, T::default())
-    }
-}
-
 /// Guard returned by [`OrderedMutex::lock`]. Dropping releases the lock and
 /// pops the rank from the thread's held set (in any order — hand-over-hand
 /// release is allowed).
@@ -578,8 +562,6 @@ mod tests {
             ranks::SESSION_BUFFER_POOL,
             ranks::MANAGER_CONTROL,
             ranks::REACTOR_TURN,
-            ranks::REACTOR_SWEEP,
-            ranks::REACTOR_EVENTS,
             ranks::REACTOR_STATE,
             ranks::REACTOR_READY,
             ranks::CLIENT_COMPLETED,
@@ -590,19 +572,14 @@ mod tests {
             ranks::EXECUTOR_HEARTBEAT,
             ranks::EXECUTOR_ALLOCATOR,
             ranks::EXECUTOR_PROCESS,
-            ranks::EXECUTOR_MODE,
             ranks::EXECUTOR_STATE_BINDING,
-            ranks::EXECUTOR_SANDBOX,
             ranks::EXECUTOR_BILLING,
-            ranks::EXECUTOR_LAST_USED,
             ranks::EXECUTOR_STATS,
             ranks::EXECUTOR_FORK_TRACKER,
-            ranks::EXECUTOR_FORK_SERVED,
             ranks::WARM_POOL,
             ranks::STATE_SERVER,
             ranks::STATE_SOCKET,
             ranks::BILLING_PENDING,
-            ranks::BILLING_FLUSHES,
             ranks::BILLING_SLOTS,
             ranks::LIFECYCLE_STATS,
         ];

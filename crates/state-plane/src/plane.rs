@@ -675,9 +675,7 @@ impl StateClient {
     pub fn get_with<R>(&mut self, key: &str, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
         let (offset, len) = self.ensure_cached(key)?;
         self.counters.gets += 1;
-        Ok(self
-            .cache
-            .with_bytes(|bytes| f(&bytes[offset..offset + len])))
+        Ok(self.cache.with_bytes(offset, len, f)?)
     }
 
     /// Read `key` into an owned buffer (convenience over [`Self::get_with`]).

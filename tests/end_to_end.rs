@@ -1,7 +1,7 @@
 //! End-to-end integration tests spanning the resource manager, spot
 //! executors, the typed session API and the billing database.
 
-use rfaas::{LifecycleDriver, PollingMode, RFaasError};
+use rfaas::{AllocationPolicy, LifecycleDriver, PollingMode, RFaasError};
 use rfaas_bench::Testbed;
 use sandbox::SandboxType;
 use sim_core::SimDuration;
@@ -108,9 +108,10 @@ fn warm_oversubscription_rejects_and_client_redirects() {
         .executor(&session.lease().unwrap().executor_node)
         .unwrap();
     let lease = session.lease().unwrap().clone();
-    let oversubscribed = executor
-        .allocator()
-        .allocate_with_workers(&lease, 4, PollingMode::Warm);
+    let oversubscribed =
+        executor
+            .allocator()
+            .allocate(&lease, 4, PollingMode::Warm, AllocationPolicy::Cold);
     // The single leased core is already used by the first allocation, so the
     // oversubscribed allocation may legitimately fail for lack of resources;
     // the redirection path is covered by the client-level rejection handling

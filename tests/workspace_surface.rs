@@ -75,3 +75,54 @@ fn umbrella_reexports_every_layer() {
     let mpi = rfaas_repro::mpi_sim::MpiCostModel::cluster_100g();
     assert!(mpi.latency.as_nanos() > 0);
 }
+
+/// Every rank of the lock table is taken by some lock outside `sim-core`:
+/// a rank nothing acquires is a stale table entry.
+#[test]
+fn every_lock_rank_is_taken() {
+    use std::path::{Path, PathBuf};
+
+    fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                rust_files(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                out.push(path);
+            }
+        }
+    }
+
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let table = std::fs::read_to_string(crates.join("sim-core/src/sync.rs")).unwrap();
+    let ranks: Vec<&str> = table
+        .lines()
+        .filter_map(|line| line.trim().strip_prefix("pub const "))
+        .filter_map(|decl| decl.split_once(": LockRank ="))
+        .map(|(name, _)| name)
+        .collect();
+    assert!(!ranks.is_empty(), "no lock ranks parsed from sync.rs");
+
+    let mut sources = Vec::new();
+    for entry in std::fs::read_dir(&crates).unwrap() {
+        let dir = entry.unwrap().path();
+        if dir.file_name().is_some_and(|n| n != "sim-core") && dir.join("src").is_dir() {
+            rust_files(&dir.join("src"), &mut sources);
+        }
+    }
+    let texts: Vec<String> = sources
+        .iter()
+        .map(|path| std::fs::read_to_string(path).unwrap())
+        .collect();
+    let taken = |name: &str| {
+        let needle = format!("ranks::{name}");
+        texts.iter().any(|text| {
+            text.match_indices(&needle).any(|(at, _)| {
+                let next = text[at + needle.len()..].chars().next();
+                !next.is_some_and(|c| c == '_' || c.is_ascii_alphanumeric())
+            })
+        })
+    };
+    let untaken: Vec<&str> = ranks.iter().copied().filter(|name| !taken(name)).collect();
+    assert!(untaken.is_empty(), "lock ranks nothing takes: {untaken:?}");
+}
